@@ -122,6 +122,32 @@ void BM_WriteLogUpdatesFor(benchmark::State& state) {
 }
 BENCHMARK(BM_WriteLogUpdatesFor)->Arg(128)->Arg(2048);
 
+void BM_WriteLogApply(benchmark::State& state) {
+  // Fills a fresh log with state.range(0) writes from 3 origins in
+  // round-robin, keyed like perfbench's live generator ("r0/<i>"). The
+  // time_per_apply counter should not grow with the log size.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  std::vector<Update> updates;
+  updates.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    updates.push_back(Update{UpdateId{static_cast<NodeId>(i % 3),
+                                      static_cast<SeqNo>(i / 3 + 1)},
+                             static_cast<SimTime>(i), "r0/" + std::to_string(i),
+                             "0123456789abcdef-" + std::to_string(i)});
+  }
+  for (auto _ : state) {
+    WriteLog log;
+    for (const Update& u : updates) log.apply(u);
+    benchmark::DoNotOptimize(log.size());
+  }
+  const auto items = static_cast<std::int64_t>(n);
+  state.SetItemsProcessed(state.iterations() * items);
+  state.counters["time_per_apply"] = benchmark::Counter(
+      static_cast<double>(items),
+      benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WriteLogApply)->Arg(1024)->Arg(8192)->Arg(32768);
+
 void BM_DemandTableTouch(benchmark::State& state) {
   // ReplicaEngine::handle touches the table on every message, so this
   // lookup is the hottest demand-layer path. Must stay O(1) in the

@@ -336,7 +336,7 @@ void ReplicaEngine::on_fast_ack(NodeId from, const FastAck& m, SimTime /*now*/,
                                 std::vector<Outbound>& out) {
   const auto it = find_by_id(offers_, m.offer_id);
   if (it == offers_.end() || it->second.peer != from) return;
-  const OfferState state = std::move(it->second);
+  OfferState state = std::move(it->second);
   offers_.erase(it);
   SummaryVector& known = knowledge_for(from);
   if (!m.yes) {
@@ -345,18 +345,21 @@ void ReplicaEngine::on_fast_ack(NodeId from, const FastAck& m, SimTime /*now*/,
     return;
   }
   // Step 17: send the payloads. Strict YES/NO mode resends the whole offer;
-  // subset mode sends exactly what was asked for.
-  const std::vector<UpdateId>& ids =
-      config_.ack_mode == FastAckMode::subset ? m.wanted : state.offered;
+  // subset mode sends exactly what was asked for, dropping ids we never
+  // offered (bogus requests). An offer can carry thousands of ids after a
+  // large session gain, so the offered ids are sorted once and searched.
+  const bool subset = config_.ack_mode == FastAckMode::subset;
+  if (subset) std::sort(state.offered.begin(), state.offered.end());
+  const std::vector<UpdateId>& ids = subset ? m.wanted : state.offered;
   FastData data;
   data.offer_id = m.offer_id;
   for (const UpdateId id : ids) {
-    // Only ship what we actually offered (ignore bogus requests) and still
-    // retain (truncation may have raced; sessions will repair).
-    if (std::find(state.offered.begin(), state.offered.end(), id) ==
-        state.offered.end()) {
+    if (subset && !std::binary_search(state.offered.begin(),
+                                      state.offered.end(), id)) {
       continue;
     }
+    // Ship only what we still retain (truncation may have raced; sessions
+    // will repair).
     if (const Update* update = log_.find(id)) {
       data.updates.push_back(*update);
       known.add(id);

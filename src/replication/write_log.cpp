@@ -8,12 +8,20 @@
 namespace fastcons {
 namespace {
 
-/// First update with id >= `id` in the sorted-by-id log.
-std::vector<Update>::const_iterator updates_lower_bound(
-    const std::vector<Update>& updates, UpdateId id) {
+/// First segment with origin >= `origin` in the origin-sorted segments.
+template <typename Segments>
+auto segment_lower_bound(Segments& segments, NodeId origin) {
   return std::lower_bound(
-      updates.begin(), updates.end(), id,
-      [](const Update& u, UpdateId key) { return u.id < key; });
+      segments.begin(), segments.end(), origin,
+      [](const auto& segment, NodeId key) { return segment.first < key; });
+}
+
+/// First update with seq >= `seq` in one origin's seq-sorted segment.
+template <typename Updates>
+auto seq_lower_bound(Updates& updates, SeqNo seq) {
+  return std::lower_bound(
+      updates.begin(), updates.end(), seq,
+      [](const Update& u, SeqNo key) { return u.id.seq < key; });
 }
 
 }  // namespace
@@ -26,32 +34,37 @@ const Update* WriteLog::apply_moved(Update&& update) {
   FASTCONS_EXPECTS(update.id.seq > 0);
   if (summary_.contains(update.id)) return nullptr;
   summary_.add(update.id);
-  const auto pos = updates_lower_bound(updates_, update.id);
-  const auto it = updates_.insert(
-      updates_.begin() + (pos - updates_.begin()), std::move(update));
-  const Update& stored = *it;
+  auto seg = segment_lower_bound(segments_, update.id.origin);
+  if (seg == segments_.end() || seg->first != update.id.origin) {
+    seg = segments_.emplace(seg, update.id.origin, std::vector<Update>{});
+  }
+  std::vector<Update>& updates = seg->second;
+  const Update* stored = nullptr;
+  if (updates.empty() || updates.back().id.seq < update.id.seq) {
+    stored = &updates.emplace_back(std::move(update));
+  } else {
+    stored = &*updates.insert(seq_lower_bound(updates, update.id.seq),
+                              std::move(update));
+  }
+  ++size_;
   // Last-writer-wins on (created_at, origin, seq).
-  const auto kv_pos = std::lower_bound(
-      kv_.begin(), kv_.end(), stored.key,
-      [](const auto& entry, const std::string& key) {
-        return entry.first < key;
-      });
-  if (kv_pos == kv_.end() || kv_pos->first != stored.key) {
-    kv_.insert(kv_pos,
-               {stored.key, KeyState{stored.created_at, stored.id, stored.value}});
+  const auto kv_pos = kv_.lower_bound(stored->key);
+  if (kv_pos == kv_.end() || kv_pos->first != stored->key) {
+    kv_.emplace_hint(kv_pos, stored->key,
+                     KeyState{stored->created_at, stored->id, stored->value});
   } else {
     KeyState& state = kv_pos->second;
     const auto candidate =
-        std::tuple(stored.created_at, stored.id.origin, stored.id.seq);
+        std::tuple(stored->created_at, stored->id.origin, stored->id.seq);
     const auto incumbent =
         std::tuple(state.written_at, state.by.origin, state.by.seq);
     if (candidate > incumbent) {
-      state.written_at = stored.created_at;
-      state.by = stored.id;
-      state.value = stored.value;
+      state.written_at = stored->created_at;
+      state.by = stored->id;
+      state.value = stored->value;
     }
   }
-  return &stored;
+  return stored;
 }
 
 bool WriteLog::contains(UpdateId id) const { return summary_.contains(id); }
@@ -63,8 +76,10 @@ std::optional<Update> WriteLog::get(UpdateId id) const {
 }
 
 const Update* WriteLog::find(UpdateId id) const {
-  const auto it = updates_lower_bound(updates_, id);
-  if (it == updates_.end() || it->id != id) return nullptr;
+  const auto seg = segment_lower_bound(segments_, id.origin);
+  if (seg == segments_.end() || seg->first != id.origin) return nullptr;
+  const auto it = seq_lower_bound(seg->second, id.seq);
+  if (it == seg->second.end() || it->id.seq != id.seq) return nullptr;
   return &*it;
 }
 
@@ -85,10 +100,8 @@ std::vector<Update> WriteLog::updates_for(
 }
 
 std::optional<std::string> WriteLog::read(const std::string& key) const {
-  const auto it = std::lower_bound(
-      kv_.begin(), kv_.end(), key,
-      [](const auto& entry, const std::string& k) { return entry.first < k; });
-  if (it == kv_.end() || it->first != key) return std::nullopt;
+  const auto it = kv_.find(key);
+  if (it == kv_.end()) return std::nullopt;
   return it->second.value;
 }
 
@@ -103,14 +116,24 @@ std::vector<std::string> WriteLog::keys() const {
 }
 
 std::size_t WriteLog::truncate_below(const SummaryVector& stable) {
-  const std::size_t before = updates_.size();
-  std::erase_if(updates_,
-                [&](const Update& u) { return stable.contains(u.id); });
-  return before - updates_.size();
+  std::size_t discarded = 0;
+  for (auto& [origin, updates] : segments_) {
+    (void)origin;
+    discarded += std::erase_if(
+        updates, [&](const Update& u) { return stable.contains(u.id); });
+  }
+  size_ -= discarded;
+  return discarded;
 }
 
 std::vector<Update> WriteLog::all_retained() const {
-  return updates_;  // already (origin, seq) sorted
+  std::vector<Update> result;
+  result.reserve(size_);
+  for (const auto& [origin, updates] : segments_) {
+    (void)origin;
+    result.insert(result.end(), updates.begin(), updates.end());
+  }
+  return result;
 }
 
 void WriteLog::restore(std::vector<Update> updates, const SummaryVector& cover) {

@@ -11,6 +11,7 @@
 #define FASTCONS_REPLICATION_WRITE_LOG_HPP
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -47,9 +48,10 @@ class WriteLog {
   /// The summary of everything ever applied (truncation does not shrink it).
   const SummaryVector& summary() const noexcept { return summary_; }
 
-  /// Updates covered by us but not by `their_summary`, ordered by
-  /// (origin, seq). Ids that were truncated away are reported through
-  /// `missing_truncated` (callers then fall back to full-state transfer).
+  /// Updates covered by us but not by `their_summary`, in the order
+  /// summary().missing_from(their_summary) lists their ids. Ids that were
+  /// truncated away are reported through `missing_truncated` (callers then
+  /// fall back to full-state transfer).
   std::vector<Update> updates_for(const SummaryVector& their_summary,
                                   std::vector<UpdateId>* missing_truncated =
                                       nullptr) const;
@@ -63,7 +65,7 @@ class WriteLog {
   std::vector<std::string> keys() const;
 
   /// Number of retained (non-truncated) updates.
-  std::size_t size() const noexcept { return updates_.size(); }
+  std::size_t size() const noexcept { return size_; }
 
   /// Total updates ever applied (== summary().total()).
   std::uint64_t applied_total() const noexcept { return summary_.total(); }
@@ -89,10 +91,13 @@ class WriteLog {
   /// same digest.
   std::uint64_t kv_digest() const noexcept;
 
-  /// Forgets every update, value and summary entry, retaining the vector
-  /// capacity — the pooled-engine reset path (ReplicaEngine::reset).
+  /// Forgets every update, value and summary entry — the pooled-engine
+  /// reset path (ReplicaEngine::reset). The per-origin segments are
+  /// dropped, not kept empty, so a pooled engine does not carry one
+  /// allocation per origin it ever saw into the next trial.
   void clear() noexcept {
-    updates_.clear();
+    segments_.clear();
+    size_ = 0;
     kv_.clear();
     summary_.clear();
   }
@@ -105,14 +110,17 @@ class WriteLog {
     std::string value;
   };
 
-  // Flat sorted storage: a replica log is mutated once per applied update
-  // but consulted on every session, and hash/tree nodes cost an allocation
-  // per entry (plus a bucket array per fresh engine — one per trial in the
-  // simulations). Sorted-by-id updates also make all_retained() a plain
-  // copy.
-  std::vector<Update> updates_;                        // sorted by id
+  // Updates live in one segment per origin, origins sorted and each
+  // segment sorted by seq. Origins number their writes 1, 2, 3, ... and
+  // mostly deliver them in order, so an apply is usually a push_back; an
+  // out-of-order arrival shifts only its own origin's tail. Concatenating
+  // the segments in origin order gives all_retained()'s (origin, seq)
+  // order. The key-value state is an ordered map, so an apply inserts in
+  // O(log n) and kv_digest()/keys() still walk keys in sorted order.
+  std::vector<std::pair<NodeId, std::vector<Update>>> segments_;
+  std::size_t size_ = 0;                               // retained updates
   SummaryVector summary_;
-  std::vector<std::pair<std::string, KeyState>> kv_;   // sorted by key
+  std::map<std::string, KeyState, std::less<>> kv_;
 };
 
 }  // namespace fastcons

@@ -242,6 +242,71 @@ TEST(EngineTest, SubsetAckListsExactlyMissingIds) {
   EXPECT_EQ(ack.wanted, (std::vector<UpdateId>{UpdateId{0, 2}}));
 }
 
+/// B (1) holds (5,1), which came from D (3) and is never offered back. It
+/// then gains (0,3), (0,1), (0,2) from A (0) in one FastData, offers all
+/// three to its higher-demand neighbour D in that unsorted order, and
+/// truncates (0,2) away before D's ack arrives. Returns the offer id B sent.
+std::uint64_t offer_three_then_truncate_middle(ReplicaEngine& b) {
+  b.set_own_demand(1.0);
+  b.prime_neighbour_demand(0, 0.5, 0.0);
+  b.prime_neighbour_demand(3, 9.0, 0.0);
+  EXPECT_TRUE(
+      b.handle(3, Message{FastData{1, {Update{UpdateId{5, 1}, 0.0, "d", "4"}}}},
+               0.0)
+          .empty());
+  const auto out = b.handle(
+      0,
+      Message{FastData{1, {Update{UpdateId{0, 3}, 0.0, "c", "3"},
+                           Update{UpdateId{0, 1}, 0.0, "a", "1"},
+                           Update{UpdateId{0, 2}, 0.0, "b", "2"}}}},
+      0.0);
+  EXPECT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].to, 3u);
+  const auto& offer = std::get<FastOffer>(out[0].msg);
+  EXPECT_EQ(offer.offered.size(), 3u);
+  SummaryVector stable;
+  stable.add(UpdateId{0, 2});
+  EXPECT_EQ(b.truncate_log_below(stable), 1u);
+  return offer.offer_id;
+}
+
+std::vector<UpdateId> shipped_ids(const std::vector<Outbound>& out) {
+  std::vector<UpdateId> ids;
+  for (const Outbound& o : out) {
+    for (const Update& u : std::get<FastData>(o.msg).updates) ids.push_back(u.id);
+  }
+  return ids;
+}
+
+TEST(EngineTest, SubsetAckShipsOnlyOfferedAndRetainedIds) {
+  ProtocolConfig cfg = fast_config();
+  cfg.ack_mode = FastAckMode::subset;
+  ReplicaEngine b(1, {0, 3}, cfg, 1);
+  const std::uint64_t offer_id = offer_three_then_truncate_middle(b);
+  // (5,1) is retained but was never offered, (9,9) is unknown, and (0,2)
+  // was offered but truncated since.
+  const FastAck ack{offer_id, true,
+                    {UpdateId{0, 3}, UpdateId{5, 1}, UpdateId{9, 9},
+                     UpdateId{0, 2}, UpdateId{0, 1}}};
+  const auto out = b.handle(3, Message{ack}, 0.0);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].to, 3u);
+  EXPECT_EQ(shipped_ids(out),
+            (std::vector<UpdateId>{UpdateId{0, 3}, UpdateId{0, 1}}));
+  EXPECT_EQ(b.inflight_offers(), 0u);
+}
+
+TEST(EngineTest, YesNoAckShipsWholeRetainedOffer) {
+  ReplicaEngine b(1, {0, 3}, fast_config(), 1);
+  const std::uint64_t offer_id = offer_three_then_truncate_middle(b);
+  // Strict mode ignores `wanted`: the reply is the offer minus what was
+  // truncated.
+  const FastAck ack{offer_id, true, {UpdateId{5, 1}}};
+  const auto out = b.handle(3, Message{ack}, 0.0);
+  EXPECT_EQ(shipped_ids(out),
+            (std::vector<UpdateId>{UpdateId{0, 3}, UpdateId{0, 1}}));
+}
+
 TEST(EngineTest, FullFastExchangeDeliversPayload) {
   Router router;
   ReplicaEngine b(1, {3}, fast_config(), 1);
