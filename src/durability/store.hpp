@@ -7,10 +7,10 @@
 // between the two leaves the WAL overlapping the checkpoint — replay is
 // idempotent (updates dedupe by id), never lossy.
 //
-// Note on determinism: this layer is scanned by tools/determinism_lint —
-// no clocks, no unordered containers, no ambient randomness. Recovery
-// timing is measured by the caller (src/net), which is outside the
-// digest-bearing set.
+// Note on determinism: this layer is scanned by fastcons_lint's
+// determinism rule — no clocks, no unordered containers, no ambient
+// randomness. Recovery timing is measured by the caller (src/net), which
+// is outside the digest-bearing set.
 #ifndef FASTCONS_DURABILITY_STORE_HPP
 #define FASTCONS_DURABILITY_STORE_HPP
 

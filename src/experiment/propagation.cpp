@@ -126,12 +126,6 @@ const PropagationTrial& run_propagation_trial(
   return trial;
 }
 
-PropagationTrial run_propagation_trial(const PropagationExperiment& config,
-                                       Rng& rng) {
-  PropagationContext ctx;
-  return run_propagation_trial(config, rng, ctx);
-}
-
 PropagationResult run_propagation(const PropagationExperiment& config) {
   check_config(config);
   if (config.repetitions == 0) throw ConfigError("repetitions must be > 0");

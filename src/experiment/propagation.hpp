@@ -140,10 +140,6 @@ struct PropagationContext {
 const PropagationTrial& run_propagation_trial(
     const PropagationExperiment& config, Rng& rng, PropagationContext& ctx);
 
-/// Convenience overload with a one-shot context (fresh construction).
-PropagationTrial run_propagation_trial(const PropagationExperiment& config,
-                                       Rng& rng);
-
 /// Runs the experiment (config.repetitions trials seeded from config.seed).
 /// Deterministic for a given config.
 PropagationResult run_propagation(const PropagationExperiment& config);

@@ -35,18 +35,13 @@ class ScenarioRegistry {
   std::vector<ScenarioSpec> specs_;
 };
 
-/// The built-in registry: the 13 experiment scenarios ported from the
-/// historical bench_* binaries (see docs/paper-map.md for the mapping) plus
-/// the "large-scale" 1k/4k-node sweeps. Built fresh on each call; cheap
-/// enough for CLI startup.
+/// The built-in registry: every deterministic scenario — the paper's
+/// figures and claims (docs/paper-map.md maps each to its section), the
+/// extensions, the "large-scale" 1k/4k-node sweeps, "faults" and
+/// "degraded" — in registration order. Built fresh on each call; cheap
+/// enough for CLI startup. The wall-clock families are in live_registry()
+/// (src/harness_live).
 ScenarioRegistry builtin_registry();
-
-/// The live-transport registry: scenarios that run LocalCluster over real
-/// TCP sockets and measure wall-clock behaviour. Kept OUT of
-/// builtin_registry() on purpose — their results depend on the host and
-/// the clock, so they are excluded from the determinism digests and the
-/// reset-equivalence sweeps that pin every builtin scenario.
-ScenarioRegistry live_registry();
 
 }  // namespace fastcons::harness
 

@@ -53,13 +53,6 @@ std::string write_results(const std::vector<ScenarioResult>& results,
 /// Prints the per-point summary tables for one scenario.
 void print_scenario(const ScenarioResult& result, std::ostream& out);
 
-/// Entry point shared by the legacy bench_* compatibility stubs: runs the
-/// named scenarios at full scale (FASTCONS_REPS overrides the trial count,
-/// FASTCONS_JOBS the thread count, FASTCONS_CSV_DIR the output directory —
-/// kept for continuity with the retired per-binary benches), prints the
-/// summaries and writes the JSON files. Returns a process exit code.
-int legacy_bench_main(const std::vector<std::string>& scenario_names);
-
 }  // namespace fastcons::harness
 
 #endif  // FASTCONS_HARNESS_REPORT_HPP

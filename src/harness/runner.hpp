@@ -14,7 +14,7 @@
 
 namespace fastcons::harness {
 
-/// Execution knobs shared by the CLI, the legacy bench stubs and the tests.
+/// Execution knobs shared by the CLI and the tests.
 struct RunOptions {
   /// Worker threads. 0 means hardware_concurrency (min 1). Results are
   /// bit-identical for every value: trials are seeded by index and
@@ -28,7 +28,7 @@ struct RunOptions {
   std::uint64_t base_seed = 42;
 
   /// Overrides the spec's trial count (per sweep point, before the
-  /// per-point divisor). Used by FASTCONS_REPS and --trials.
+  /// per-point divisor). Set by --trials.
   std::optional<std::size_t> trials = std::nullopt;
 
   /// When set, only sweep points whose label contains this substring run.

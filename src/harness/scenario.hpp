@@ -106,9 +106,8 @@ struct TrialResult {
 using TrialFn = std::function<TrialResult(
     const SweepPoint& point, std::uint64_t seed, TrialContext& ctx)>;
 
-/// A complete experiment description. Instances live in the
-/// ScenarioRegistry (registry.hpp); the 13 built-ins port the historical
-/// bench_* binaries.
+/// A complete experiment description. Instances live in a
+/// ScenarioRegistry (registry.hpp).
 struct ScenarioSpec {
   /// Registry key and results-file stem, e.g. "fig5".
   std::string name;

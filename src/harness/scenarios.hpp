@@ -1,7 +1,7 @@
 /// @file
 /// Registration hooks for the built-in scenario groups, plus the few helpers
-/// the scenario definition files share. Internal to the harness; CLI and
-/// tests go through builtin_registry().
+/// the scenario definition files share (src/harness_live uses them too).
+/// CLI and tests go through builtin_registry() and live_registry().
 #ifndef FASTCONS_HARNESS_SCENARIOS_HPP
 #define FASTCONS_HARNESS_SCENARIOS_HPP
 
@@ -44,19 +44,6 @@ void register_fault_scenarios(ScenarioRegistry& registry);
 /// anti-entropy under dead-peer and flapping regimes on seed_group common
 /// random numbers. Digest-stable: health derivation is draw-free.
 void register_degraded_scenarios(ScenarioRegistry& registry);
-
-/// Real-socket scenarios ("live"): LocalCluster meshes over TCP, weak vs
-/// fast, measuring wall-clock convergence, sustained write throughput and
-/// write-visibility latency. Registered only in live_registry(): results
-/// are wall-clock measurements, not deterministic functions of the seed.
-void register_live_scenarios(ScenarioRegistry& registry);
-
-/// Durable crash-recovery benchmark ("recovery"): a demand-asymmetric line
-/// cluster whose middle node is killed and restarted in recover mode,
-/// measuring local WAL/checkpoint replay time against log size and
-/// demand-ordered catch-up time against the downtime write rate. Registered
-/// only in live_registry(): wall-clock and disk measurements.
-void register_recovery_scenarios(ScenarioRegistry& registry);
 
 /// Maps an "algo" tag ("weak", "demand-order", "fast") to the protocol
 /// preset with adverts disabled — the static-demand experiment setup every

@@ -232,7 +232,7 @@ std::vector<SweepPoint> ba_algorithm_sweep(std::size_t n, double paper_fast,
     point.tags = {{"algo", algo}, {"topo", "ba"}};
     point.params = {{"n", static_cast<double>(n)}};
     // Pair the three curves on identical topologies/demands/writers per
-    // trial index (the retired benches ran all algorithms on one seed).
+    // trial index.
     point.seed_group = 0;
     if (algo == "fast") {
       point.reference = {{"paper_mean_sessions_to_full", paper_fast},

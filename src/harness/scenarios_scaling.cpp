@@ -38,8 +38,8 @@ void add_topology_points(std::vector<SweepPoint>& sweep,
     point.tags.emplace_back("algo", algo);
     point.params = params;
     point.trials_divisor = trials_divisor;
-    // One seed stream for the whole scenario: algorithm columns (and the
-    // retired benches' per-row comparisons) share random instances.
+    // One seed stream for the whole scenario: algorithm columns and
+    // per-row comparisons share random instances.
     point.seed_group = 0;
     if (with_reference) {
       point.reference = structural_reference(topology_from_point(point));

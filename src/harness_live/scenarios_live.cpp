@@ -13,6 +13,7 @@
 
 #include "common/error.hpp"
 #include "harness/scenarios.hpp"
+#include "harness_live/live_registry.hpp"
 #include "net/cluster.hpp"
 
 namespace fastcons::harness {

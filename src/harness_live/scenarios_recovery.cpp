@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "harness/scenarios.hpp"
+#include "harness_live/live_registry.hpp"
 #include "net/cluster.hpp"
 #include "net/pacer.hpp"
 #include "topology/generators.hpp"

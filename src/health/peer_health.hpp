@@ -5,8 +5,8 @@
 // signal into graded state so push-target selection can *decay* demand for
 // silent peers instead of flipping them alive/dead at one threshold.
 //
-// Determinism contract (this directory is scanned by
-// tools/determinism_lint): the tracker never reads a clock, never draws
+// Determinism contract (this directory is scanned by fastcons_lint's
+// determinism rule): the tracker never reads a clock, never draws
 // randomness, and derives state from (last_heard, failures, now) at query
 // time — no background transitions, no mutation on read. With
 // HealthConfig::enabled == false every query returns `up` and every factor

@@ -65,16 +65,6 @@ void add_violation(SoakReport& report, std::string what, bool verbose) {
   }
 }
 
-/// Largest sequence number `summary` covers for `origin` (watermark or an
-/// out-of-order extra beyond it).
-SeqNo max_covered_seq(const SummaryVector& summary, NodeId origin) {
-  SeqNo max = summary.watermark(origin);
-  for (const UpdateId& id : summary.extras()) {
-    if (id.origin == origin) max = std::max(max, id.seq);
-  }
-  return max;
-}
-
 }  // namespace
 
 SoakReport run_soak(const SoakConfig& config) {

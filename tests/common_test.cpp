@@ -2,37 +2,10 @@
 
 #include <cstdlib>
 
-#include "common/env.hpp"
 #include "common/log.hpp"
 
 namespace fastcons {
 namespace {
-
-TEST(EnvTest, MissingVariableFallsBack) {
-  ::unsetenv("FASTCONS_TEST_ENV_U64");
-  EXPECT_EQ(env_u64("FASTCONS_TEST_ENV_U64", 42), 42u);
-  EXPECT_DOUBLE_EQ(env_double("FASTCONS_TEST_ENV_DBL", 2.5), 2.5);
-}
-
-TEST(EnvTest, ParsesValidValues) {
-  ::setenv("FASTCONS_TEST_ENV_U64", "12345", 1);
-  EXPECT_EQ(env_u64("FASTCONS_TEST_ENV_U64", 0), 12345u);
-  ::setenv("FASTCONS_TEST_ENV_DBL", "0.125", 1);
-  EXPECT_DOUBLE_EQ(env_double("FASTCONS_TEST_ENV_DBL", 0.0), 0.125);
-  ::unsetenv("FASTCONS_TEST_ENV_U64");
-  ::unsetenv("FASTCONS_TEST_ENV_DBL");
-}
-
-TEST(EnvTest, GarbageFallsBack) {
-  ::setenv("FASTCONS_TEST_ENV_U64", "12x", 1);
-  EXPECT_EQ(env_u64("FASTCONS_TEST_ENV_U64", 7), 7u);
-  ::setenv("FASTCONS_TEST_ENV_U64", "", 1);
-  EXPECT_EQ(env_u64("FASTCONS_TEST_ENV_U64", 7), 7u);
-  ::setenv("FASTCONS_TEST_ENV_DBL", "zz", 1);
-  EXPECT_DOUBLE_EQ(env_double("FASTCONS_TEST_ENV_DBL", 1.5), 1.5);
-  ::unsetenv("FASTCONS_TEST_ENV_U64");
-  ::unsetenv("FASTCONS_TEST_ENV_DBL");
-}
 
 TEST(LogTest, ThresholdGatesOutput) {
   const LogLevel original = log_threshold();

@@ -8,6 +8,7 @@
 #include "harness/registry.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
+#include "harness_live/live_registry.hpp"
 
 namespace fastcons::harness {
 namespace {

@@ -2,11 +2,12 @@
 // ctest cases: the lexer, the indexer/call-graph, one end-to-end violation
 // per rule, and the allowlist machinery. The lint tool also carries its own
 // embedded self-test corpus (--self-test); these tests cover the library
-// API surface the way external callers — the CLI and the determinism_lint
-// alias — consume it.
+// API surface the way the CLI consumes it, and pin properties of this
+// tree's lint configuration.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -150,6 +151,25 @@ TEST(LintRules, LayerDagRejectsDownwardInclude) {
   EXPECT_EQ(out[0].file, "src/common/base.hpp");
 }
 
+TEST(LintRules, LayerDagKeepsSocketsOutOfTheDigestBearingHarness) {
+  // The repository's declared graph: only harness_live may reach net.
+  std::ifstream layers(std::string(FASTCONS_SOURCE_DIR) +
+                       "/tools/fastcons_lint/layers.txt");
+  LayerGraph graph;
+  std::string err;
+  ASSERT_TRUE(parse_layer_graph(layers, graph, err)) << err;
+
+  const std::vector<SourceFile> sources = {
+      {"src/harness/sneaky.cpp", "#include \"net/cluster.hpp\"\n"},
+      {"src/harness_live/fine.cpp", "#include \"net/cluster.hpp\"\n"},
+  };
+  std::vector<Violation> out;
+  rule_layer_dag(index_sources(sources), graph, out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].rule, kRuleLayers);
+  EXPECT_EQ(out[0].file, "src/harness/sneaky.cpp");
+}
+
 TEST(LintRules, ThrowContractCatchesUnguardedThrowThroughCallee) {
   std::istringstream contracts("decode_all\n");
   std::vector<ThrowContract> parsed;
@@ -176,8 +196,8 @@ TEST(LintRules, DeterminismFlagsUnorderedContainerInDigestLayer) {
   std::vector<Violation> out;
   rule_determinism(sources, out);
   ASSERT_EQ(out.size(), 1u);
-  // Determinism violations carry the historical sub-rule name so the
-  // determinism allowlist's `<path>:<sub-rule>` entries keep working.
+  // Determinism violations carry the check's name, which is what an
+  // allowlist entry for them names (`<path>:unordered-container`).
   EXPECT_EQ(out[0].rule, "unordered-container");
   EXPECT_EQ(out[0].file, "src/core/state.hpp");
 }
@@ -218,6 +238,64 @@ TEST(LintAllowlist, SuppressesByRootOrSinkAndTracksUsage) {
   EXPECT_FALSE(list.allowed(other_rule));
   EXPECT_TRUE(list.entries.at(0).used);
 }
+
+TEST(LintAllowlist, StaleDeterminismEntryFailsTheTreeScan) {
+  const std::string root = FASTCONS_SOURCE_DIR;
+  std::ifstream in(root + "/tools/fastcons_lint/allowlist.txt");
+  std::ostringstream allowlist;
+  allowlist << in.rdbuf();
+  const std::string stale_path = testing::TempDir() + "lint_stale_allowlist.txt";
+  std::ofstream(stale_path)
+      << allowlist.str()
+      << "src/core/engine.cpp:wall-clock # matches nothing on purpose\n";
+
+  RunOptions options;
+  options.root = root;
+  EXPECT_EQ(run_lint(options), 0) << "the tree itself must scan clean";
+  options.allowlist_path = stale_path;
+  EXPECT_EQ(run_lint(options), 1);
+  options.rules = {kRuleDeterminism};
+  EXPECT_EQ(run_lint(options), 1);
+  options.rules = {kRuleLayers};
+  EXPECT_EQ(run_lint(options), 0) << "a determinism entry is idle, not stale, "
+                                     "when determinism did not run";
+}
+
+// One allowlist serves all five rules, so a stale entry must fail the scan
+// whichever rule it names, and only when that rule ran.
+class LintStaleEntry : public testing::TestWithParam<const char*> {};
+
+TEST_P(LintStaleEntry, FailsTheTreeScanWhenItsRuleRuns) {
+  const std::string rule = GetParam();
+  const std::string root = FASTCONS_SOURCE_DIR;
+  std::ifstream in(root + "/tools/fastcons_lint/allowlist.txt");
+  std::ostringstream allowlist;
+  allowlist << in.rdbuf();
+  const std::string stale_path =
+      testing::TempDir() + "lint_stale_" + rule + ".txt";
+  std::ofstream(stale_path) << allowlist.str() << "src/core/engine.cpp:"
+                            << rule << " # matches nothing on purpose\n";
+
+  RunOptions options;
+  options.root = root;
+  options.allowlist_path = stale_path;
+  EXPECT_EQ(run_lint(options), 1);
+  options.rules = {rule};
+  EXPECT_EQ(run_lint(options), 1);
+  options.rules = {rule == kRuleLayers ? kRuleThrow : kRuleLayers};
+  EXPECT_EQ(run_lint(options), 0) << "idle, not stale, when " << rule
+                                  << " did not run";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryRule, LintStaleEntry,
+    testing::Values(kRuleBlocking, kRuleLayers, kRuleThrow, kRuleDeterminism,
+                    kRuleDigest),
+    [](const testing::TestParamInfo<const char*>& param_info) {
+      std::string name = param_info.param;
+      std::replace(name.begin(), name.end(), '-', '_');
+      return name;
+    });
 
 TEST(LintAllowlist, ReasonIsMandatory) {
   std::istringstream in("src/net/locked.cpp:blocking-under-lock\n");

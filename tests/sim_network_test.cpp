@@ -196,13 +196,38 @@ TEST(SimNetworkTest, TrafficCountersAccumulate) {
 TEST(SimNetworkTest, OnDeliveryObserverSeesEveryNodeOnce) {
   SimNetwork net(line5(), static_demand({4, 6, 3, 8, 7}), fast_sim());
   std::vector<int> seen(5, 0);
-  net.on_delivery = [&](NodeId n, const Update& u, DeliveryPath, SimTime) {
+  std::vector<std::pair<DeliveryPath, SimTime>> deliveries;
+  NodeId first_node = kInvalidNode;
+  net.on_delivery = [&](NodeId n, const Update& u, DeliveryPath path,
+                        SimTime at) {
     EXPECT_EQ(u.key, "k");
     ++seen[n];
+    if (deliveries.empty()) first_node = n;
+    deliveries.emplace_back(path, at);
   };
   const UpdateId id = net.schedule_write(0, "k", "v", 0.5);
-  net.run_until_update_everywhere(id, 40.0);
+  ASSERT_TRUE(net.run_until_update_everywhere(id, 40.0));
   for (NodeId n = 0; n < 5; ++n) EXPECT_EQ(seen[n], 1) << "node " << n;
+
+  // The origin's local write comes first, timestamps never go backwards,
+  // and every other replica got it by session or fast push.
+  ASSERT_EQ(deliveries.size(), 5u);
+  EXPECT_EQ(first_node, 0u);
+  EXPECT_EQ(deliveries.front().first, DeliveryPath::local_write);
+  std::size_t local = 0;
+  std::size_t remote = 0;
+  for (std::size_t i = 0; i < deliveries.size(); ++i) {
+    if (i > 0) {
+      EXPECT_GE(deliveries[i].second, deliveries[i - 1].second);
+    }
+    const DeliveryPath path = deliveries[i].first;
+    if (path == DeliveryPath::local_write) ++local;
+    if (path == DeliveryPath::session || path == DeliveryPath::fast_push) {
+      ++remote;
+    }
+  }
+  EXPECT_EQ(local, 1u);
+  EXPECT_EQ(remote, 4u);
 }
 
 TEST(SimNetworkTest, WeakConfigSendsNoFastTraffic) {

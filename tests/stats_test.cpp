@@ -7,7 +7,6 @@
 #include "common/rng.hpp"
 #include "stats/cdf.hpp"
 #include "stats/counters.hpp"
-#include "stats/histogram.hpp"
 #include "stats/online_stats.hpp"
 #include "stats/table.hpp"
 
@@ -128,24 +127,6 @@ TEST(CdfTest, InterleavedAddAndQuery) {
   cdf.add(1.0);  // must invalidate the sorted cache
   EXPECT_DOUBLE_EQ(cdf.at(1.0), 0.5);
   EXPECT_DOUBLE_EQ(cdf.at(4.0), 0.5);
-}
-
-TEST(HistogramTest, BinEdgesAndCounts) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.0);   // bin 0 (inclusive lower edge)
-  h.add(1.9);   // bin 0
-  h.add(2.0);   // bin 1
-  h.add(9.99);  // bin 4
-  h.add(10.0);  // overflow (exclusive upper edge)
-  h.add(-0.1);  // underflow
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(1), 1u);
-  EXPECT_EQ(h.bin_count(4), 1u);
-  EXPECT_EQ(h.overflow(), 1u);
-  EXPECT_EQ(h.underflow(), 1u);
-  EXPECT_EQ(h.total(), 6u);
-  EXPECT_DOUBLE_EQ(h.bin_lo(1), 2.0);
-  EXPECT_DOUBLE_EQ(h.bin_hi(1), 4.0);
 }
 
 TEST(CountersTest, RecordAndTotals) {

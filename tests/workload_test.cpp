@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "common/error.hpp"
-#include "sim_runtime/trace.hpp"
 #include "topology/generators.hpp"
 
 namespace fastcons {
@@ -127,69 +126,6 @@ TEST(WorkloadTest, ZeroDemandNodesIssueNoReads) {
   const WorkloadResult result =
       run_workload(std::move(g), demand, sim, small_workload());
   EXPECT_EQ(result.reads, 0u);
-}
-
-// ---------------------------------------------------------------------------
-
-TEST(TraceTest, RecordsEveryDeliveryOnce) {
-  Rng rng(15);
-  Graph g = make_ring(6, {0.01, 0.02}, rng);
-  auto demand = std::make_shared<StaticDemand>(
-      make_uniform_random_demand(6, 0.0, 50.0, rng));
-  SimConfig sim;
-  sim.protocol = ProtocolConfig::fast();
-  sim.seed = 16;
-  SimNetwork net(std::move(g), demand, sim);
-  TraceRecorder trace(net);
-  const UpdateId id = net.schedule_write(0, "k", "v", 0.5);
-  ASSERT_TRUE(net.run_until_update_everywhere(id, 40.0));
-  const auto events = trace.for_update(id);
-  EXPECT_EQ(events.size(), 6u);
-  // First event is the local write at the origin.
-  EXPECT_EQ(events.front().node, 0u);
-  EXPECT_EQ(events.front().path, DeliveryPath::local_write);
-  // Timestamps are non-decreasing (delivery order).
-  for (std::size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i].at, events[i - 1].at);
-  }
-  EXPECT_EQ(trace.count_path(DeliveryPath::local_write), 1u);
-  EXPECT_EQ(trace.count_path(DeliveryPath::session) +
-                trace.count_path(DeliveryPath::fast_push),
-            5u);
-}
-
-TEST(TraceTest, DescribeMentionsEveryNode) {
-  Rng rng(17);
-  Graph g = make_line(3, {0.01, 0.02}, rng);
-  auto demand = std::make_shared<StaticDemand>(std::vector<double>{1, 5, 9});
-  SimConfig sim;
-  sim.protocol = ProtocolConfig::fast();
-  sim.seed = 18;
-  SimNetwork net(std::move(g), demand, sim);
-  TraceRecorder trace(net);
-  const UpdateId id = net.schedule_write(0, "k", "v", 0.5);
-  ASSERT_TRUE(net.run_until_update_everywhere(id, 30.0));
-  const std::string description = trace.describe(id);
-  EXPECT_NE(description.find("->"), std::string::npos);
-  EXPECT_NE(description.find("local-write"), std::string::npos);
-}
-
-TEST(TraceTest, CsvHasHeaderAndRows) {
-  Rng rng(19);
-  Graph g = make_line(3, {0.01, 0.02}, rng);
-  auto demand = std::make_shared<StaticDemand>(std::vector<double>{1, 2, 3});
-  SimConfig sim;
-  sim.protocol = ProtocolConfig::fast();
-  sim.seed = 20;
-  SimNetwork net(std::move(g), demand, sim);
-  TraceRecorder trace(net);
-  const UpdateId id = net.schedule_write(1, "k", "v", 0.5);
-  ASSERT_TRUE(net.run_until_update_everywhere(id, 30.0));
-  std::ostringstream out;
-  trace.write_csv(out);
-  const std::string csv = out.str();
-  EXPECT_NE(csv.find("at,node,origin,seq,path"), std::string::npos);
-  EXPECT_GE(std::count(csv.begin(), csv.end(), '\n'), 4);
 }
 
 }  // namespace

@@ -1,9 +1,11 @@
 // fastcons_bench — the unified experiment harness CLI.
 //
-// Replaces the 13 per-experiment bench_* binaries: every scenario lives in
-// the harness registry (src/harness), trials fan out across a thread pool
-// with per-trial derived seeds, and results land in versioned JSON files
-// whose bytes are identical for any --jobs value.
+// Every scenario lives in a harness registry (src/harness for the
+// deterministic families, src/harness_live for the real-socket ones),
+// trials fan out across a thread pool with per-trial derived seeds, and
+// results land in versioned JSON files whose bytes are identical for any
+// --jobs value. Exits 1 when a paper check (a *matches_paper counter)
+// fails on any trial.
 //
 //   fastcons_bench --list
 //   fastcons_bench --scenario fig5 --jobs 8
@@ -23,6 +25,7 @@
 #include "harness/registry.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
+#include "harness_live/live_registry.hpp"
 
 namespace {
 
@@ -71,6 +74,24 @@ void list_scenarios(const ScenarioRegistry& registry,
                 static_cast<int>(width), spec.name.c_str(), spec.sweep.size(),
                 spec.trials, spec.paper_ref.c_str(), spec.title.c_str());
   }
+}
+
+/// Prints MISMATCH and returns true when any *matches_paper counter of
+/// `result` is below its point's trial count (a failed paper check: fig4's
+/// session orders, sec2's cycle).
+bool paper_mismatch(const ScenarioResult& result) {
+  for (const PointResult& point : result.points) {
+    for (const auto& [name, value] : point.counters) {
+      if (name.ends_with("matches_paper") && value < point.trials) {
+        std::fprintf(stderr, "MISMATCH: %s/%s %s = %llu/%zu\n",
+                     result.name.c_str(), point.point.label.c_str(),
+                     name.c_str(), static_cast<unsigned long long>(value),
+                     point.trials);
+        return true;
+      }
+    }
+  }
+  return false;
 }
 
 }  // namespace
@@ -182,6 +203,9 @@ int main(int argc, char** argv) {
       if (!live_results.empty()) {
         std::printf("live scenarios ran without --out; results not saved\n");
       }
+    }
+    for (const ScenarioResult& result : results) {
+      if (paper_mismatch(result)) return 1;
     }
     return 0;
   } catch (const Error& e) {

@@ -42,13 +42,12 @@
 //                        contract may instead allow exactly one exception
 //                        type (throws=CodecError). Calls and throws inside
 //                        a try block count as guarded.
-//   determinism          the historical determinism lint, ported intact:
-//                        unordered containers, rand/srand/time,
+//   determinism          unordered containers, rand/srand/time,
 //                        random_device, *_clock::now, pointer-keyed
 //                        ordered containers in the digest-bearing layers.
-//                        Allowlist semantics (tools/determinism_allowlist
-//                        .txt) are unchanged: reasons mandatory, stale
-//                        entries fail.
+//                        Findings carry the check's name (unordered-
+//                        container, wall-clock, ...), which is what an
+//                        allowlist entry names.
 //   digest-purity        functions defined in the digest-bearing layer set
 //                        may not contain (or reach, across a layer-set
 //                        boundary) wall-clock reads or I/O primitives. The
@@ -246,8 +245,8 @@ void rule_throw_contracts(const ProgramIndex& index,
                           const std::vector<ThrowContract>& contracts,
                           std::vector<Violation>& out);
 
-/// Layers scanned by the determinism rule (the digest-bearing set, as the
-/// historical determinism_lint defined it).
+/// Layers scanned by the determinism rule: the digest-bearing set plus
+/// harness_live, whose wall-clock families share the harness's helpers.
 const std::vector<std::string>& determinism_layers();
 
 /// R4: the ported determinism scan, applied to files whose layer is in
@@ -255,9 +254,10 @@ const std::vector<std::string>& determinism_layers();
 void rule_determinism(const std::vector<SourceFile>& sources,
                       std::vector<Violation>& out);
 
-/// Layers checked by digest-purity: determinism_layers() minus harness and
-/// durability (their I/O — results files, the WAL — is sanctioned and sits
-/// outside the digested values by construction).
+/// Layers checked by digest-purity: determinism_layers() minus harness,
+/// harness_live and durability (their I/O — results files, sockets, the
+/// WAL — is sanctioned and sits outside the digested values by
+/// construction).
 const std::vector<std::string>& digest_purity_layers();
 
 /// R5: wall-clock reads and I/O primitives in the digest-purity layer set.
@@ -265,24 +265,22 @@ void rule_digest_purity(const ProgramIndex& index, std::vector<Violation>& out);
 
 // ----------------------------------------------------------------- runner
 
-/// One full scan, shared by the fastcons_lint CLI and the thin
-/// determinism_lint alias. Empty paths take the defaults under `root`
-/// (tools/fastcons_lint/{allowlist,layers,nothrow}.txt and
-/// tools/determinism_allowlist.txt).
+/// One full scan, as the fastcons_lint CLI runs it. Empty paths take the
+/// defaults under `root` (tools/fastcons_lint/{allowlist,layers,nothrow}
+/// .txt).
 struct RunOptions {
   std::string root;
   std::vector<std::string> rules;  ///< empty = all five
   std::string allowlist_path;
-  std::string determinism_allowlist_path;
   std::string layers_path;
   std::string contracts_path;
   std::string mutex = "engine_mutex_";
 };
 
-/// Loads src/** sources, runs the selected rules, applies the allowlists
+/// Loads src/** sources, runs the selected rules, applies the allowlist
 /// and prints diagnostics. Exit-code semantics: 0 clean, 1 violations or
-/// stale allowlist entries, 2 usage/IO/config errors. Allowlist staleness
-/// is enforced per allowlist only when the rules it serves all ran, so a
+/// stale allowlist entries, 2 usage/IO/config errors. An entry is stale
+/// only when the rule it serves ran ("*" entries: when all five ran), so a
 /// single-rule invocation cannot spuriously report the others' entries.
 int run_lint(const RunOptions& options);
 

@@ -4,7 +4,7 @@
 //   fastcons_lint --self-test [RULE]
 //
 // Exit status: 0 clean, 1 violations or stale allowlist entries, 2 usage or
-// I/O errors — same contract the determinism lint always had.
+// I/O errors.
 #include <algorithm>
 #include <iostream>
 #include <string>
@@ -25,11 +25,10 @@ int usage() {
   }
   std::cerr
       << "\noptions (defaults live under <root>/tools/):\n"
-         "  --allowlist FILE              fastcons_lint/allowlist.txt\n"
-         "  --determinism-allowlist FILE  determinism_allowlist.txt\n"
-         "  --layers FILE                 fastcons_lint/layers.txt\n"
-         "  --contracts FILE              fastcons_lint/nothrow.txt\n"
-         "  --mutex NAME                  engine_mutex_\n";
+         "  --allowlist FILE   fastcons_lint/allowlist.txt\n"
+         "  --layers FILE      fastcons_lint/layers.txt\n"
+         "  --contracts FILE   fastcons_lint/nothrow.txt\n"
+         "  --mutex NAME       engine_mutex_\n";
   return 2;
 }
 
@@ -65,10 +64,6 @@ int main(int argc, char** argv) {
       const char* v = value();
       if (v == nullptr) return usage();
       options.allowlist_path = v;
-    } else if (arg == "--determinism-allowlist") {
-      const char* v = value();
-      if (v == nullptr) return usage();
-      options.determinism_allowlist_path = v;
     } else if (arg == "--layers") {
       const char* v = value();
       if (v == nullptr) return usage();

@@ -1,7 +1,7 @@
 // Rule engines and config parsing for fastcons_lint. Each rule reports
 // Violations with the offending call chain attached; suppression and
-// staleness policy live in the Allowlist (shared with the historical
-// determinism lint, whose sub-rule names and semantics are preserved).
+// staleness policy live in the Allowlist, one file for every rule
+// (determinism findings are allowlisted by their check name).
 #include <algorithm>
 #include <cctype>
 #include <cstddef>
@@ -437,7 +437,7 @@ const std::vector<std::string>& determinism_layers() {
   static const std::vector<std::string> kLayers = {
       "common",     "core",    "sim",     "sim_runtime", "replication",
       "demand",     "experiment", "topology", "islands", "harness",
-      "stats",      "durability", "health"};
+      "harness_live", "stats", "durability", "health"};
   return kLayers;
 }
 
@@ -527,8 +527,9 @@ void rule_determinism(const std::vector<SourceFile>& sources,
 // ------------------------------------------------------- R5: digest purity
 
 const std::vector<std::string>& digest_purity_layers() {
-  // determinism_layers() minus harness and durability: their I/O (results
-  // files, the WAL) is sanctioned and sits outside the digested values.
+  // determinism_layers() minus harness, harness_live and durability: their
+  // I/O (results files, sockets, the WAL) is sanctioned and sits outside
+  // the digested values.
   static const std::vector<std::string> kLayers = {
       "common", "core",       "sim",      "sim_runtime", "replication",
       "demand", "experiment", "topology", "islands",     "stats",

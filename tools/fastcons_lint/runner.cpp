@@ -1,7 +1,6 @@
 // Tree-scan runner: loads src/** sources, runs the selected rules, applies
-// the two allowlists (the fastcons_lint one and the historical determinism
-// one, whose semantics are preserved byte-for-byte), prints diagnostics
-// with call chains, and enforces allowlist staleness.
+// the allowlist, prints diagnostics with call chains, and enforces
+// allowlist staleness.
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
@@ -50,14 +49,22 @@ void print_violation(const Violation& v) {
   }
 }
 
-/// Stale-entry check for one allowlist; only called when the rules the
-/// allowlist serves actually ran (otherwise unused entries are expected).
-int report_stale(const Allowlist& allow, const char* which) {
+/// True when the rule an entry serves ran, so an unused entry is stale
+/// rather than merely idle. Determinism findings carry their check name
+/// (wall-clock, unordered-container, ...), which is not a rule name; "*"
+/// serves every rule.
+bool entry_rule_ran(const AllowEntry& e, const std::vector<std::string>& rules) {
+  if (e.rule == "*") return rules.size() == all_rules().size();
+  if (has(all_rules(), e.rule)) return has(rules, e.rule);
+  return has(rules, kRuleDeterminism);
+}
+
+int report_stale(const Allowlist& allow, const std::vector<std::string>& rules) {
   int status = 0;
   for (const AllowEntry& e : allow.entries) {
-    if (!e.used) {
-      std::cout << "stale " << which << " entry (matched nothing): " << e.path
-                << ":" << e.rule << "\n";
+    if (!e.used && entry_rule_ran(e, rules)) {
+      std::cout << "stale allowlist entry (matched nothing): " << e.path << ":"
+                << e.rule << "\n";
       status = 1;
     }
   }
@@ -77,8 +84,8 @@ int run_lint(const RunOptions& options) {
     }
   }
 
-  // The determinism rule keeps the historical contract that every scanned
-  // layer directory exists — a renamed layer must be renamed here too.
+  // Every layer the determinism rule scans must exist — a renamed layer
+  // must be renamed in determinism_layers() too.
   if (has(rules, kRuleDeterminism)) {
     for (const std::string& layer : determinism_layers()) {
       if (!fs::exists(root / "src" / layer)) {
@@ -115,22 +122,13 @@ int run_lint(const RunOptions& options) {
         {fs::relative(path, root).generic_string(), buffer.str()});
   }
 
-  // Structural rules (everything but determinism) share the program index
-  // and the fastcons_lint allowlist; determinism keeps its own.
+  // Structural rules (everything but determinism) share the program index.
   const bool structural = has(rules, kRuleBlocking) || has(rules, kRuleLayers) ||
                           has(rules, kRuleThrow) || has(rules, kRuleDigest);
   Allowlist allow;
-  Allowlist det_allow;
-  if (structural &&
-      !load_allowlist(default_path(options.allowlist_path, root,
+  if (!load_allowlist(default_path(options.allowlist_path, root,
                                    "tools/fastcons_lint/allowlist.txt"),
                       allow)) {
-    return 2;
-  }
-  if (has(rules, kRuleDeterminism) &&
-      !load_allowlist(default_path(options.determinism_allowlist_path, root,
-                                   "tools/determinism_allowlist.txt"),
-                      det_allow)) {
     return 2;
   }
 
@@ -168,50 +166,35 @@ int run_lint(const RunOptions& options) {
   ProgramIndex index;
   if (structural) index = index_sources(sources);
 
-  std::vector<Violation> structural_violations;
-  std::vector<Violation> det_violations;
+  std::vector<Violation> violations;
   if (has(rules, kRuleBlocking)) {
-    rule_blocking_under_lock(index, options.mutex, structural_violations);
+    rule_blocking_under_lock(index, options.mutex, violations);
   }
   if (has(rules, kRuleLayers)) {
-    rule_layer_dag(index, graph, structural_violations);
+    rule_layer_dag(index, graph, violations);
   }
   if (has(rules, kRuleThrow)) {
-    rule_throw_contracts(index, contracts, structural_violations);
+    rule_throw_contracts(index, contracts, violations);
   }
   if (has(rules, kRuleDeterminism)) {
-    rule_determinism(sources, det_violations);
+    rule_determinism(sources, violations);
   }
   if (has(rules, kRuleDigest)) {
-    rule_digest_purity(index, structural_violations);
+    rule_digest_purity(index, violations);
   }
 
   int status = 0;
   std::set<std::string> printed;  // dedup identical findings (e.g. two
                                   // chains to the same sink line)
-  const auto emit = [&](const std::vector<Violation>& violations,
-                        const Allowlist& list) {
-    for (const Violation& v : violations) {
-      if (list.allowed(v)) continue;
-      std::ostringstream key;
-      key << v.file << ":" << v.line << ":" << v.rule << ":" << v.message;
-      if (!printed.insert(key.str()).second) continue;
-      print_violation(v);
-      status = 1;
-    }
-  };
-  emit(structural_violations, allow);
-  emit(det_violations, det_allow);
-
-  const bool all_structural_ran =
-      has(rules, kRuleBlocking) && has(rules, kRuleLayers) &&
-      has(rules, kRuleThrow) && has(rules, kRuleDigest);
-  if (all_structural_ran) {
-    status |= report_stale(allow, "allowlist");
+  for (const Violation& v : violations) {
+    if (allow.allowed(v)) continue;
+    std::ostringstream key;
+    key << v.file << ":" << v.line << ":" << v.rule << ":" << v.message;
+    if (!printed.insert(key.str()).second) continue;
+    print_violation(v);
+    status = 1;
   }
-  if (has(rules, kRuleDeterminism)) {
-    status |= report_stale(det_allow, "determinism allowlist");
-  }
+  status |= report_stale(allow, rules);
 
   if (status == 0) {
     std::cout << "fastcons_lint: " << sources.size() << " files clean (";

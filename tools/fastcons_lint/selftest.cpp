@@ -290,9 +290,8 @@ void test_throw(Tally& t) {
 
 // ---------------------------------------------------- R4: determinism port
 
-// The historical determinism_lint self-corpus, ported intact (paths moved
-// into a scanned layer; the old tool scanned whatever path it was given,
-// the rule now filters by layer itself).
+// The determinism self-corpus. Every case sits in a scanned layer: the rule
+// filters by layer itself.
 struct DetCase {
   const char* name;
   const char* source;
