@@ -8,6 +8,7 @@
 #include "core/engine.hpp"
 #include "demand/demand_model.hpp"
 #include "demand/demand_table.hpp"
+#include "harness/registry.hpp"
 #include "net/wire.hpp"
 #include "replication/summary_vector.hpp"
 #include "replication/write_log.hpp"
@@ -248,6 +249,15 @@ void BM_DiameterBfs(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DiameterBfs)->Arg(100)->Arg(400);
+
+void BM_BuiltinRegistry(benchmark::State& state) {
+  // Start-up cost of every fastcons_bench call and perfbench's setup_s:
+  // registering the scenario table, with no per-point derivation.
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(harness::builtin_registry());
+  }
+}
+BENCHMARK(BM_BuiltinRegistry)->Unit(benchmark::kMicrosecond);
 
 void BM_SessionHandshake(benchmark::State& state) {
   // Full 4-message anti-entropy exchange between two engines with

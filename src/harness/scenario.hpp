@@ -53,7 +53,9 @@ struct SweepPoint {
   TagMap tags;
 
   /// Static reference values echoed into the results file: paper-reported
-  /// numbers, analytic curves, structural metrics of a sample topology.
+  /// numbers and analytic curves. Values derived from the point itself
+  /// (structural metrics of a sample topology) come from
+  /// ScenarioSpec::derive_reference when the point runs.
   ParamMap reference;
 
   /// Per-point divisor on the scenario's trial count (expensive sweep points
@@ -137,6 +139,12 @@ struct ScenarioSpec {
 
   /// Runs one repetition.
   TrialFn run;
+
+  /// Optional. Derives reference values from a point as registered, once
+  /// for each point that runs and before smoke overrides; they follow the
+  /// point's static `reference`. Must be a pure function of the point.
+  /// Keeps costly structural metrics out of registry construction.
+  std::function<ParamMap(const SweepPoint& point)> derive_reference;
 };
 
 /// Derives the seed for one trial: a pure function of the base seed, the

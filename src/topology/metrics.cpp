@@ -83,27 +83,56 @@ bool is_connected(const Graph& g) {
   return connected_components(g).size() == 1;
 }
 
+double PathStats::mean_path_length() const {
+  FASTCONS_EXPECTS(nodes >= 2);
+  const auto n = static_cast<double>(nodes);
+  return static_cast<double>(hop_sum) / (n * (n - 1.0));
+}
+
+PathStats path_stats(const Graph& g) {
+  PathStats stats;
+  stats.nodes = g.size();
+  constexpr auto unreached = std::numeric_limits<std::size_t>::max();
+  std::vector<std::size_t> dist(g.size());
+  std::vector<NodeId> queue(g.size());
+  for (NodeId s = 0; s < g.size(); ++s) {
+    std::fill(dist.begin(), dist.end(), unreached);
+    dist[s] = 0;
+    queue[0] = s;
+    std::size_t head = 0;
+    std::size_t tail = 1;
+    while (head < tail) {
+      const NodeId u = queue[head++];
+      const std::size_t next = dist[u] + 1;
+      for (const Edge& e : g.neighbours(u)) {
+        if (dist[e.peer] == unreached) {
+          dist[e.peer] = next;
+          queue[tail++] = e.peer;
+          stats.hop_sum += next;
+        }
+      }
+    }
+    if (tail != g.size()) return PathStats{g.size(), false, 0, 0};
+    // BFS dequeues in non-decreasing distance: the last node is farthest.
+    stats.diameter = std::max(stats.diameter, dist[queue[tail - 1]]);
+  }
+  return stats;
+}
+
 std::size_t diameter(const Graph& g) {
   if (g.empty()) throw ConfigError("diameter of empty graph");
-  if (!is_connected(g)) throw ConfigError("diameter of disconnected graph");
-  std::size_t best = 0;
-  for (NodeId s = 0; s < g.size(); ++s) {
-    const auto dist = bfs_hops(g, s);
-    for (const std::size_t d : dist) best = std::max(best, d);
-  }
-  return best;
+  const PathStats stats = path_stats(g);
+  if (!stats.connected) throw ConfigError("diameter of disconnected graph");
+  return stats.diameter;
 }
 
 double mean_path_length(const Graph& g) {
   if (g.size() < 2) throw ConfigError("mean_path_length needs >= 2 nodes");
-  if (!is_connected(g)) throw ConfigError("mean_path_length on disconnected graph");
-  double sum = 0.0;
-  for (NodeId s = 0; s < g.size(); ++s) {
-    const auto dist = bfs_hops(g, s);
-    for (const std::size_t d : dist) sum += static_cast<double>(d);
+  const PathStats stats = path_stats(g);
+  if (!stats.connected) {
+    throw ConfigError("mean_path_length on disconnected graph");
   }
-  const auto n = static_cast<double>(g.size());
-  return sum / (n * (n - 1.0));
+  return stats.mean_path_length();
 }
 
 std::vector<std::size_t> degree_sequence(const Graph& g) {

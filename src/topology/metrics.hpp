@@ -5,6 +5,7 @@
 #define FASTCONS_TOPOLOGY_METRICS_HPP
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "topology/graph.hpp"
@@ -23,6 +24,26 @@ std::vector<double> shortest_latencies(const Graph& g, NodeId source);
 std::vector<std::vector<NodeId>> connected_components(const Graph& g);
 
 bool is_connected(const Graph& g);
+
+/// All-pairs hop statistics from one BFS per source.
+struct PathStats {
+  /// Nodes in the swept graph.
+  std::size_t nodes = 0;
+  /// False when some node is unreachable from node 0; the sweep then stops
+  /// after that first source and `diameter` / `hop_sum` stay 0.
+  bool connected = true;
+  /// Largest hop distance between any two nodes.
+  std::size_t diameter = 0;
+  /// Sum of hop distances over all ordered pairs (exact).
+  std::uint64_t hop_sum = 0;
+
+  /// hop_sum over the n * (n - 1) ordered pairs. Requires nodes >= 2.
+  double mean_path_length() const;
+};
+
+/// One all-pairs sweep that reuses a single distance buffer and queue. An
+/// empty graph is connected with zero diameter and hop sum.
+PathStats path_stats(const Graph& g);
 
 /// Hop-count diameter. Requires a connected, non-empty graph.
 std::size_t diameter(const Graph& g);

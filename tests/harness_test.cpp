@@ -5,10 +5,13 @@
 #include <set>
 
 #include "common/error.hpp"
+#include "common/rng.hpp"
 #include "harness/registry.hpp"
 #include "harness/report.hpp"
 #include "harness/runner.hpp"
+#include "harness/scenarios.hpp"
 #include "harness_live/live_registry.hpp"
+#include "topology/metrics.hpp"
 
 namespace fastcons::harness {
 namespace {
@@ -107,6 +110,19 @@ TEST(ScenarioRegistry, RejectsDuplicatesAndInvalidSpecs) {
   no_fn.name = "no-fn";
   no_fn.run = nullptr;
   EXPECT_THROW(registry.add(no_fn), ConfigError);
+}
+
+TEST(ScenarioRegistry, DiameterPointsCarryNoPrecomputedReference) {
+  // Building the registry is a table build: the structural references of
+  // the diameter scenarios are derived only for the points that run.
+  const ScenarioRegistry registry = builtin_registry();
+  for (const char* name : {"diameter-ba", "diameter-grid"}) {
+    const ScenarioSpec& spec = registry.get(name);
+    EXPECT_TRUE(spec.derive_reference) << name;
+    for (const SweepPoint& point : spec.sweep) {
+      EXPECT_TRUE(point.reference.empty()) << name << " " << point.label;
+    }
+  }
 }
 
 // ----------------------------------------------------------------- seeds ----
@@ -230,6 +246,58 @@ TEST(TrialRunner, UnmatchedSweepFilterThrows) {
   RunOptions options = smoke_options(1);
   options.sweep_filter = "no-such-label";
   EXPECT_THROW(run_scenario(registry.get("fig5"), options), ConfigError);
+}
+
+TEST(TrialRunner, DerivedReferencesComeFromRunningPointsAsRegistered) {
+  // derive_reference runs once per executed point, sees the registered
+  // params (not the smoke overrides) and appends after static values.
+  ScenarioSpec spec;
+  spec.name = "derived";
+  for (const char* label : {"small", "large"}) {
+    SweepPoint point;
+    point.label = label;
+    point.params = {{"n", std::string(label) == "small" ? 10.0 : 20.0}};
+    point.reference = {{"paper", 1.0}};
+    spec.sweep.push_back(std::move(point));
+  }
+  spec.smoke_overrides = {{"n", 3.0}};
+  spec.run = [](const SweepPoint&, std::uint64_t, TrialContext&) {
+    return TrialResult{};
+  };
+  std::size_t calls = 0;
+  spec.derive_reference = [&calls](const SweepPoint& point) {
+    ++calls;
+    return ParamMap{{"registered_n", param_or(point.params, "n", 0.0)}};
+  };
+  RunOptions options = smoke_options(1);
+  options.sweep_filter = "large";
+  const ScenarioResult result = run_scenario(spec, options);
+  EXPECT_EQ(calls, 1u);
+  ASSERT_EQ(result.points.size(), 1u);
+  EXPECT_EQ(result.points[0].point.reference,
+            (ParamMap{{"paper", 1.0}, {"registered_n", 20.0}}));
+  EXPECT_EQ(param_or(result.points[0].point.params, "n", 0.0), 3.0);
+}
+
+TEST(TrialRunner, DiameterReferenceIsDerivedForTheFilteredPointOnly) {
+  const ScenarioRegistry registry = builtin_registry();
+  const ScenarioSpec& spec = registry.get("diameter-ba");
+  RunOptions options = smoke_options(1);
+  options.trials = 1;
+  options.sweep_filter = "ba-400/fast";
+  const ScenarioResult result = run_scenario(spec, options);
+  ASSERT_EQ(result.points.size(), 1u);
+  const PointResult& ran = result.points[0];
+  EXPECT_EQ(ran.point.label, "ba-400/fast");
+
+  Rng probe(123);
+  const Graph sample = topology_from_point(spec.sweep[ran.index])(probe);
+  ASSERT_EQ(ran.point.reference.size(), 2u);
+  EXPECT_EQ(ran.point.reference[0].first, "sample_diameter");
+  EXPECT_EQ(ran.point.reference[0].second,
+            static_cast<double>(diameter(sample)));
+  EXPECT_EQ(ran.point.reference[1].first, "sample_mean_path");
+  EXPECT_EQ(ran.point.reference[1].second, mean_path_length(sample));
 }
 
 TEST(TrialRunner, SmokeModeAppliesOverridesAndTrialCounts) {

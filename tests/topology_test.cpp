@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -236,6 +238,53 @@ TEST(MetricsTest, MeanPathLengthRing) {
   const Graph g = make_ring(4, kLat, rng);
   // Ring of 4: distances from any node are {1, 2, 1}; mean = 4/3.
   EXPECT_NEAR(mean_path_length(g), 4.0 / 3.0, 1e-12);
+}
+
+TEST(MetricsTest, OnePassPathStatsMatchPairwiseBfs) {
+  Rng rng(18);
+  const std::vector<Graph> graphs{
+      make_line(9, kLat, rng),          make_ring(12, kLat, rng),
+      make_grid(5, 4, kLat, rng),       make_binary_tree(31, kLat, rng),
+      make_barabasi_albert(120, 2, kLat, rng), make_line(1, kLat, rng)};
+  for (const Graph& g : graphs) {
+    std::size_t brute_diameter = 0;
+    std::uint64_t brute_sum = 0;
+    for (NodeId s = 0; s < g.size(); ++s) {
+      for (const std::size_t d : bfs_hops(g, s)) {
+        brute_diameter = std::max(brute_diameter, d);
+        brute_sum += d;
+      }
+    }
+    const PathStats stats = path_stats(g);
+    EXPECT_EQ(stats.nodes, g.size());
+    EXPECT_TRUE(stats.connected);
+    EXPECT_EQ(stats.diameter, brute_diameter) << g.size();
+    EXPECT_EQ(stats.hop_sum, brute_sum) << g.size();
+    EXPECT_EQ(diameter(g), brute_diameter);
+    if (g.size() >= 2) {
+      const auto n = static_cast<double>(g.size());
+      EXPECT_EQ(mean_path_length(g),
+                static_cast<double>(brute_sum) / (n * (n - 1.0)));
+    }
+  }
+}
+
+TEST(MetricsTest, PathStatsRejectDisconnectedAndEmptyGraphs) {
+  Graph split(4);
+  split.add_edge(0, 1);
+  split.add_edge(2, 3);
+  const PathStats stats = path_stats(split);
+  EXPECT_FALSE(stats.connected);
+  EXPECT_EQ(stats.diameter, 0u);
+  EXPECT_EQ(stats.hop_sum, 0u);
+  EXPECT_THROW(diameter(split), ConfigError);
+  EXPECT_THROW(mean_path_length(split), ConfigError);
+
+  const Graph empty;
+  EXPECT_TRUE(path_stats(empty).connected);
+  EXPECT_THROW(diameter(empty), ConfigError);
+  EXPECT_THROW(mean_path_length(empty), ConfigError);
+  EXPECT_THROW(mean_path_length(Graph(1)), ConfigError);
 }
 
 TEST(MetricsTest, DegreeRankFitOnRegularGraphIsFlat) {
