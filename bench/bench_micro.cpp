@@ -6,6 +6,7 @@
 
 #include "common/rng.hpp"
 #include "core/engine.hpp"
+#include "core/policy.hpp"
 #include "demand/demand_model.hpp"
 #include "demand/demand_table.hpp"
 #include "harness/registry.hpp"
@@ -150,21 +151,22 @@ void BM_WriteLogApply(benchmark::State& state) {
 BENCHMARK(BM_WriteLogApply)->Arg(1024)->Arg(8192)->Arg(32768);
 
 void BM_DemandTableTouch(benchmark::State& state) {
-  // ReplicaEngine::handle touches the table on every message, so this
-  // lookup is the hottest demand-layer path. Must stay O(1) in the
-  // neighbour count (it was a linear scan once; the Args show the scaling).
+  // ReplicaEngine touches the table on every message it handles. The
+  // simulator path addresses the sender by slot, so this is an indexed
+  // store whatever the neighbour count (the Args show the scaling); NodeId
+  // callers pay one slot_of scan per message on top.
   Rng rng(7);
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   std::vector<NodeId> neighbours(n);
   for (std::size_t i = 0; i < n; ++i) neighbours[i] = static_cast<NodeId>(i);
   DemandTable table(neighbours);
-  std::vector<NodeId> probe(1024);
-  for (auto& p : probe) p = static_cast<NodeId>(rng.index(n));
+  std::vector<PeerSlot> probe(1024);
+  for (auto& p : probe) p = static_cast<PeerSlot>(rng.index(n));
   double now = 0.0;
   for (auto _ : state) {
-    for (const NodeId peer : probe) {
+    for (const PeerSlot slot : probe) {
       now += 1e-6;
-      table.touch(peer, now);
+      table.touch_slot(slot, now);
     }
     benchmark::DoNotOptimize(table.entries().data());
   }
@@ -172,6 +174,28 @@ void BM_DemandTableTouch(benchmark::State& state) {
                           static_cast<std::int64_t>(probe.size()));
 }
 BENCHMARK(BM_DemandTableTouch)->Arg(8)->Arg(256)->Arg(4096);
+
+void BM_DemandCyclePick(benchmark::State& state) {
+  // One anti-entropy partner pick of §4's dynamic demand-ordered cycle:
+  // rank the alive neighbours by current demand, take the first one not yet
+  // visited this cycle. Runs on every session timer.
+  Rng rng(12);
+  const std::size_t degree = static_cast<std::size_t>(state.range(0));
+  std::vector<NodeId> neighbours(degree);
+  for (std::size_t i = 0; i < degree; ++i) {
+    neighbours[i] = static_cast<NodeId>(3 * (degree - i));  // not id-sorted
+  }
+  DemandTable table(neighbours);
+  for (const NodeId peer : neighbours) {
+    table.update(peer, rng.uniform(1.0, 9.0), 0.0);
+  }
+  DemandCyclePolicy policy(/*resort_each_pick=*/true);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(policy.choose(table, 0.0, rng));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_DemandCyclePick)->Arg(4)->Arg(64);
 
 void BM_SimulatorEventChurn(benchmark::State& state) {
   for (auto _ : state) {

@@ -10,6 +10,12 @@ namespace fastcons {
 /// Index of a replica/node inside a topology. Dense, 0-based.
 using NodeId = std::uint32_t;
 
+/// A neighbour's dense local index at one node: 0..degree-1 in the order
+/// the neighbour was registered (graph adjacency order, then overlay
+/// bridges). Per-peer state lives in slot-indexed arrays, so the hot paths
+/// never search by NodeId.
+using PeerSlot = std::uint32_t;
+
 /// Per-origin write sequence number; the first write of a node is seq 1 so
 /// that 0 can mean "nothing seen from this origin".
 using SeqNo = std::uint64_t;
@@ -20,6 +26,8 @@ using SeqNo = std::uint64_t;
 using SimTime = double;
 
 inline constexpr NodeId kInvalidNode = std::numeric_limits<NodeId>::max();
+/// "Not a neighbour": the slot of a sender outside the neighbour set.
+inline constexpr PeerSlot kNoSlot = std::numeric_limits<PeerSlot>::max();
 inline constexpr SimTime kSimTimeInf = std::numeric_limits<SimTime>::infinity();
 
 }  // namespace fastcons

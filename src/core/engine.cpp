@@ -41,6 +41,7 @@ ReplicaEngine::ReplicaEngine(NodeId self, std::vector<NodeId> neighbours,
   for (const DemandEntry& entry : table_.entries()) {
     health_.add_peer(entry.peer, 0.0);
   }
+  peer_knowledge_.resize(table_.entries().size());
 }
 
 void ReplicaEngine::reset(NodeId self, const std::vector<NodeId>& neighbours,
@@ -73,7 +74,10 @@ void ReplicaEngine::reset(NodeId self, const std::vector<NodeId>& neighbours,
   next_offer_ = 0;
   sessions_.clear();
   offers_.clear();
-  peer_knowledge_.clear();
+  // Surviving summaries keep their buffers; the vector grows or shrinks to
+  // the new degree.
+  for (SummaryVector& known : peer_knowledge_) known.clear();
+  peer_knowledge_.resize(table_.entries().size());
 }
 
 void ReplicaEngine::prime_neighbour_demand(NodeId peer, double demand,
@@ -84,12 +88,13 @@ void ReplicaEngine::prime_neighbour_demand(NodeId peer, double demand,
 void ReplicaEngine::add_overlay_neighbour(NodeId peer, SimTime now) {
   table_.add_neighbour(peer, now);
   health_.add_peer(peer, now);
+  peer_knowledge_.resize(table_.entries().size());
   policy_->reset();
 }
 
-void ReplicaEngine::send(std::vector<Outbound>& out, NodeId to, Message msg) {
+void ReplicaEngine::send(std::vector<Outbound>& out, Peer to, Message msg) {
   counters_.record(traffic_class_of(msg), estimated_wire_size(msg));
-  out.push_back(Outbound{to, std::move(msg)});
+  out.emplace_back(to.id, to.slot, std::move(msg));
 }
 
 // --------------------------------------------------------------------------
@@ -130,7 +135,7 @@ void ReplicaEngine::local_write(std::string key, std::string value, SimTime now,
   const std::vector<OfferedId> gained =
       apply_all(std::move(one), DeliveryPath::local_write, now);
   FASTCONS_ASSERT(gained.size() == 1);
-  after_gain(gained, kInvalidNode, DeliveryPath::local_write, now, out);
+  after_gain(gained, kNoSlot, DeliveryPath::local_write, now, out);
 }
 
 // --------------------------------------------------------------------------
@@ -140,11 +145,12 @@ void ReplicaEngine::maybe_auto_truncate() {
   if (!config_.auto_truncate) return;
   // The frontier needs evidence about every neighbour; one we have never
   // exchanged summaries with contributes bottom, making the meet empty.
+  // (A neighbour known to hold nothing yields the same empty meet, so it
+  // stops the scan just as early.)
   SummaryVector stable = log_.summary();
-  for (const DemandEntry& entry : table_.entries()) {
-    const SummaryVector* known = find_knowledge(entry.peer);
-    if (known == nullptr) return;
-    stable = SummaryVector::meet(stable, *known);
+  for (const SummaryVector& known : peer_knowledge_) {
+    if (known.empty()) return;
+    stable = SummaryVector::meet(stable, known);
   }
   stats_.payloads_truncated += log_.truncate_below(stable);
 }
@@ -158,22 +164,30 @@ std::vector<Outbound> ReplicaEngine::on_session_timer(SimTime now) {
 void ReplicaEngine::on_session_timer(SimTime now, std::vector<Outbound>& out) {
   expire_inflight(now);
   maybe_auto_truncate();
-  const NodeId peer = policy_->choose(table_, now, rng_, health_if_enabled());
-  if (peer == kInvalidNode) return;
-  start_session_with(peer, now, out);
+  const PeerSlot slot =
+      policy_->choose_slot(table_, now, rng_, health_if_enabled());
+  if (slot == kNoSlot) return;
+  start_session(slot, now, out);
 }
 
 void ReplicaEngine::start_session_with(NodeId peer, SimTime now,
                                        std::vector<Outbound>& out) {
+  const PeerSlot slot = table_.slot_of(peer);
+  FASTCONS_EXPECTS(slot != kNoSlot);
+  start_session(slot, now, out);
+}
+
+void ReplicaEngine::start_session(PeerSlot slot, SimTime now,
+                                  std::vector<Outbound>& out) {
   const std::uint64_t session_id =
       (static_cast<std::uint64_t>(self_) << 32) | ++next_session_;
   sessions_.emplace_back(session_id,
-                         SessionState{peer, now, /*awaiting_reply=*/false});
+                         SessionState{slot, now, /*awaiting_reply=*/false});
   ++stats_.sessions_initiated;
-  send(out, peer, SessionRequest{session_id});
+  send(out, neighbour(slot), SessionRequest{session_id});
 }
 
-void ReplicaEngine::on_session_request(NodeId from, const SessionRequest& m,
+void ReplicaEngine::on_session_request(Peer from, const SessionRequest& m,
                                        SimTime /*now*/,
                                        std::vector<Outbound>& out) {
   // Step 4: "B sends to E its summary vector." The responder keeps no state;
@@ -181,11 +195,12 @@ void ReplicaEngine::on_session_request(NodeId from, const SessionRequest& m,
   send(out, from, SessionSummary{m.session_id, log_.summary()});
 }
 
-void ReplicaEngine::on_session_summary(NodeId from, const SessionSummary& m,
+void ReplicaEngine::on_session_summary(Peer from, const SessionSummary& m,
                                        SimTime now,
                                        std::vector<Outbound>& out) {
+  // A matching session implies `from` is the neighbour at its slot.
   const auto it = find_by_id(sessions_, m.session_id);
-  if (it == sessions_.end() || it->second.peer != from ||
+  if (it == sessions_.end() || it->second.slot != from.slot ||
       it->second.awaiting_reply) {
     return;  // stale or spoofed; the session already timed out
   }
@@ -198,20 +213,20 @@ void ReplicaEngine::on_session_summary(NodeId from, const SessionSummary& m,
   if (!truncated.empty()) {
     missing = log_.all_retained();
   }
-  SummaryVector& known = knowledge_for(from);
+  SummaryVector& known = peer_knowledge_[from.slot];
   known.merge(m.summary);
   for (const Update& u : missing) known.add(u.id);
   send(out, from, SessionPush{m.session_id, log_.summary(), std::move(missing)});
 }
 
-void ReplicaEngine::on_session_push(NodeId from, SessionPush m, SimTime now,
+void ReplicaEngine::on_session_push(Peer from, SessionPush m, SimTime now,
                                     std::vector<Outbound>& out) {
   // The initiator's summary plus the updates it just sent describe
   // everything it will hold once this exchange completes.
-  {
-    SummaryVector& known = knowledge_for(from);
-    known.merge(m.summary);
-    for (const Update& u : m.updates) known.add(u.id);
+  SummaryVector* known = knowledge_of(from);
+  if (known != nullptr) {
+    known->merge(m.summary);
+    for (const Update& u : m.updates) known->add(u.id);
   }
   SummaryVector their_view = std::move(m.summary);
   for (const Update& u : m.updates) their_view.add(u.id);
@@ -223,31 +238,28 @@ void ReplicaEngine::on_session_push(NodeId from, SessionPush m, SimTime now,
   if (!truncated.empty()) {
     reply = log_.all_retained();
   }
-  {
-    SummaryVector& known = knowledge_for(from);
-    for (const Update& u : reply) known.add(u.id);
+  if (known != nullptr) {
+    for (const Update& u : reply) known->add(u.id);
   }
   send(out, from, SessionReply{m.session_id, std::move(reply)});
   ++stats_.sessions_responded;
-  if (hooks_.on_session_complete) hooks_.on_session_complete(from, now);
+  if (hooks_.on_session_complete) hooks_.on_session_complete(from.id, now);
   // Steps 12-13: novel content arrived -> fast update part takes over.
-  after_gain(gained, from, DeliveryPath::session, now, out);
+  after_gain(gained, from.slot, DeliveryPath::session, now, out);
 }
 
-void ReplicaEngine::on_session_reply(NodeId from, SessionReply m, SimTime now,
+void ReplicaEngine::on_session_reply(Peer from, SessionReply m, SimTime now,
                                      std::vector<Outbound>& out) {
   const auto it = find_by_id(sessions_, m.session_id);
-  if (it == sessions_.end() || it->second.peer != from) return;
+  if (it == sessions_.end() || it->second.slot != from.slot) return;
   sessions_.erase(it);
-  {
-    SummaryVector& known = knowledge_for(from);
-    for (const Update& u : m.updates) known.add(u.id);
-  }
+  SummaryVector& known = peer_knowledge_[from.slot];
+  for (const Update& u : m.updates) known.add(u.id);
   const std::vector<OfferedId> gained =
       apply_all(std::move(m.updates), DeliveryPath::session, now);
   ++stats_.sessions_completed;
-  if (hooks_.on_session_complete) hooks_.on_session_complete(from, now);
-  after_gain(gained, from, DeliveryPath::session, now, out);
+  if (hooks_.on_session_complete) hooks_.on_session_complete(from.id, now);
+  after_gain(gained, from.slot, DeliveryPath::session, now, out);
 }
 
 void ReplicaEngine::expire_inflight(SimTime now) {
@@ -266,37 +278,37 @@ void ReplicaEngine::expire_inflight(SimTime now) {
 // Fast updates (paper §2.1 steps 13-18)
 
 void ReplicaEngine::after_gain(const std::vector<OfferedId>& gained,
-                               NodeId source, DeliveryPath path, SimTime now,
+                               PeerSlot source, DeliveryPath path, SimTime now,
                                std::vector<Outbound>& out) {
   if (!config_.fast_push || gained.empty()) return;
   if (!config_.push_on_any_gain && path != DeliveryPath::local_write) return;
 
   const PeerHealthTracker* health = health_if_enabled();
   std::size_t sent = 0;
-  for (const NodeId peer : table_.by_demand_desc(now, health)) {
+  table_.rank_slots(now, health, push_order_);
+  for (const PeerSlot slot : push_order_) {
     if (sent >= config_.fast_fanout) break;
-    if (peer == source) continue;
+    if (slot == source) continue;
     if (config_.push_rule == FastPushRule::gradient) {
       // "the neighbour with even greater demand": the chain only continues
       // downhill into the demand valley. Health decay ages a suspect peer's
       // demand, so pushes stop chasing silent peers before they are declared
       // fully down.
-      const auto demand = table_.demand_of(peer);
-      if (!demand.has_value()) continue;
-      double effective = *demand;
-      if (health != nullptr) effective *= health->demand_factor(peer, now);
+      const double demand = table_.entries()[slot].demand;
+      double effective = demand;
+      if (health != nullptr) effective *= health->slot_demand_factor(slot, now);
       if (effective <= own_demand_) {
-        if (health != nullptr && *demand > own_demand_) {
+        if (health != nullptr && demand > own_demand_) {
           ++stats_.pushes_suppressed_unhealthy;
         }
         continue;
       }
     }
-    if (peer_known_to_have_all(peer, gained)) continue;
+    if (peer_known_to_have_all(slot, gained)) continue;
     FastOffer offer;
     offer.offer_id = (static_cast<std::uint64_t>(self_) << 32) | ++next_offer_;
-    OfferState state{peer, now, {}};
-    const SummaryVector& knowledge = knowledge_for(peer);
+    OfferState state{slot, now, {}};
+    const SummaryVector& knowledge = peer_knowledge_[slot];
     for (const OfferedId& u : gained) {
       if (knowledge.contains(u.id)) continue;
       offer.offered.push_back(u);
@@ -305,21 +317,21 @@ void ReplicaEngine::after_gain(const std::vector<OfferedId>& gained,
     if (offer.offered.empty()) continue;
     offers_.emplace_back(offer.offer_id, std::move(state));
     ++stats_.offers_sent;
-    send(out, peer, std::move(offer));
+    send(out, neighbour(slot), std::move(offer));
     ++sent;
   }
 }
 
-void ReplicaEngine::on_fast_offer(NodeId from, const FastOffer& m,
+void ReplicaEngine::on_fast_offer(Peer from, const FastOffer& m,
                                   SimTime now, std::vector<Outbound>& out) {
   ++stats_.offers_received;
   (void)now;
   FastAck ack;
   ack.offer_id = m.offer_id;
   std::vector<UpdateId> missing;
-  SummaryVector& known = knowledge_for(from);
+  SummaryVector* known = knowledge_of(from);
   for (const OfferedId& offered : m.offered) {
-    known.add(offered.id);  // the offerer evidently has it
+    if (known != nullptr) known->add(offered.id);  // the offerer has it
     if (!log_.contains(offered.id)) missing.push_back(offered.id);
   }
   ack.yes = !missing.empty();
@@ -332,13 +344,14 @@ void ReplicaEngine::on_fast_offer(NodeId from, const FastOffer& m,
   send(out, from, std::move(ack));
 }
 
-void ReplicaEngine::on_fast_ack(NodeId from, const FastAck& m, SimTime /*now*/,
+void ReplicaEngine::on_fast_ack(Peer from, const FastAck& m, SimTime /*now*/,
                                 std::vector<Outbound>& out) {
+  // A matching offer implies `from` is the neighbour at its slot.
   const auto it = find_by_id(offers_, m.offer_id);
-  if (it == offers_.end() || it->second.peer != from) return;
+  if (it == offers_.end() || it->second.slot != from.slot) return;
   OfferState state = std::move(it->second);
   offers_.erase(it);
-  SummaryVector& known = knowledge_for(from);
+  SummaryVector& known = peer_knowledge_[from.slot];
   if (!m.yes) {
     // Step 18: "B sends nothing" — but we learned the peer has everything.
     for (const UpdateId id : state.offered) known.add(id);
@@ -368,16 +381,15 @@ void ReplicaEngine::on_fast_ack(NodeId from, const FastAck& m, SimTime /*now*/,
   if (!data.updates.empty()) send(out, from, std::move(data));
 }
 
-void ReplicaEngine::on_fast_data(NodeId from, FastData m, SimTime now,
+void ReplicaEngine::on_fast_data(Peer from, FastData m, SimTime now,
                                  std::vector<Outbound>& out) {
-  {
-    SummaryVector& known = knowledge_for(from);
-    for (const Update& u : m.updates) known.add(u.id);
+  if (SummaryVector* known = knowledge_of(from)) {
+    for (const Update& u : m.updates) known->add(u.id);
   }
   const std::vector<OfferedId> gained =
       apply_all(std::move(m.updates), DeliveryPath::fast_push, now);
   // Step 13 applies recursively: novel content chains to the next valley.
-  after_gain(gained, from, DeliveryPath::fast_push, now, out);
+  after_gain(gained, from.slot, DeliveryPath::fast_push, now, out);
 }
 
 // --------------------------------------------------------------------------
@@ -395,21 +407,22 @@ void ReplicaEngine::on_advert_timer(SimTime now, std::vector<Outbound>& out) {
   // already filters to alive peers, so without the probe two peers that
   // expire each other's windows would never exchange traffic again.
   const NodeId probe = table_.next_dead_probe(now);
-  for (const DemandEntry& entry : table_.entries()) {
-    if (!table_.is_alive(entry, now)) {
-      if (entry.peer != probe) {
+  const std::vector<DemandEntry>& entries = table_.entries();
+  for (std::size_t s = 0; s < entries.size(); ++s) {
+    if (!table_.is_alive(entries[s], now)) {
+      if (entries[s].peer != probe) {
         ++stats_.adverts_skipped_dead;
         continue;
       }
       ++stats_.adverts_probed_dead;
     }
-    send(out, entry.peer, DemandAdvert{own_demand_});
+    send(out, neighbour(static_cast<PeerSlot>(s)), DemandAdvert{own_demand_});
   }
 }
 
-void ReplicaEngine::on_demand_advert(NodeId from, const DemandAdvert& m,
+void ReplicaEngine::on_demand_advert(Peer from, const DemandAdvert& m,
                                      SimTime now, std::vector<Outbound>&) {
-  table_.update(from, m.demand, now);
+  if (from.slot != kNoSlot) table_.update_slot(from.slot, m.demand, now);
 }
 
 // --------------------------------------------------------------------------
@@ -475,13 +488,26 @@ std::vector<Outbound> ReplicaEngine::handle(NodeId from, Message&& msg,
 
 void ReplicaEngine::handle(NodeId from, Message&& msg, SimTime now,
                            std::vector<Outbound>& out) {
-  // Any message proves the sender and the link are alive (§4: the table
-  // "tells us if this replica is available").
-  table_.touch(from, now);
-  // First contact after a `down` verdict re-promotes the peer: the tracker
-  // clears its failure run, so demand decay stops on the very next
-  // selection pass.
-  if (health_.enabled()) health_.record_contact(from, now);
+  receive(Peer{from, table_.slot_of(from)}, std::move(msg), now, out);
+}
+
+void ReplicaEngine::handle_slot(PeerSlot from_slot, Message&& msg, SimTime now,
+                                std::vector<Outbound>& out) {
+  FASTCONS_EXPECTS(from_slot < table_.entries().size());
+  receive(neighbour(from_slot), std::move(msg), now, out);
+}
+
+void ReplicaEngine::receive(Peer from, Message&& msg, SimTime now,
+                            std::vector<Outbound>& out) {
+  if (from.slot != kNoSlot) {
+    // Any message proves the sender and the link are alive (§4: the table
+    // "tells us if this replica is available").
+    table_.touch_slot(from.slot, now);
+    // First contact after a `down` verdict re-promotes the peer: the
+    // tracker clears its failure run, so demand decay stops on the very
+    // next selection pass.
+    if (health_.enabled()) health_.record_slot_contact(from.slot, now);
+  }
   std::visit(
       [&](auto&& m) {
         using T = std::decay_t<decltype(m)>;
@@ -507,30 +533,11 @@ void ReplicaEngine::handle(NodeId from, Message&& msg, SimTime now,
 }
 
 bool ReplicaEngine::peer_known_to_have_all(
-    NodeId peer, const std::vector<OfferedId>& gained) const {
-  const SummaryVector* known = find_knowledge(peer);
-  if (known == nullptr) return false;
+    PeerSlot slot, const std::vector<OfferedId>& gained) const {
+  const SummaryVector& known = peer_knowledge_[slot];
   return std::all_of(gained.begin(), gained.end(), [&](const OfferedId& u) {
-    return known->contains(u.id);
+    return known.contains(u.id);
   });
-}
-
-SummaryVector& ReplicaEngine::knowledge_for(NodeId peer) {
-  auto it = std::lower_bound(
-      peer_knowledge_.begin(), peer_knowledge_.end(), peer,
-      [](const auto& entry, NodeId key) { return entry.first < key; });
-  if (it == peer_knowledge_.end() || it->first != peer) {
-    it = peer_knowledge_.emplace(it, peer, SummaryVector{});
-  }
-  return it->second;
-}
-
-const SummaryVector* ReplicaEngine::find_knowledge(NodeId peer) const {
-  const auto it = std::lower_bound(
-      peer_knowledge_.begin(), peer_knowledge_.end(), peer,
-      [](const auto& entry, NodeId key) { return entry.first < key; });
-  if (it == peer_knowledge_.end() || it->first != peer) return nullptr;
-  return &it->second;
 }
 
 }  // namespace fastcons

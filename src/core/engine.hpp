@@ -130,25 +130,34 @@ class ReplicaEngine {
   std::vector<Outbound> on_session_timer(SimTime now);
   void on_session_timer(SimTime now, std::vector<Outbound>& out);
 
-  /// Starts an anti-entropy session with a specific peer, bypassing the
-  /// partner policy — the recovery path uses this to drain catch-up sessions
-  /// in demand order. The caller is responsible for picking an alive peer;
-  /// a dead one simply times out like any other expired session.
+  /// Starts an anti-entropy session with a specific neighbour, bypassing
+  /// the partner policy — the recovery path uses this to drain catch-up
+  /// sessions in demand order. The caller is responsible for picking an
+  /// alive peer; a dead one simply times out like any other expired
+  /// session. Requires `peer` to be a neighbour.
   void start_session_with(NodeId peer, SimTime now, std::vector<Outbound>& out);
 
   /// The advert timer fired: broadcast DemandAdvert to all neighbours.
   std::vector<Outbound> on_advert_timer(SimTime now);
   void on_advert_timer(SimTime now, std::vector<Outbound>& out);
 
-  /// A message arrived from `from`.
+  /// A message arrived from `from`. The NodeId forms resolve the sender's
+  /// slot once (one scan of the neighbour table; a non-neighbour sender is
+  /// answered but leaves no per-peer state) and delegate.
   std::vector<Outbound> handle(NodeId from, const Message& msg, SimTime now);
 
-  /// Move-in variant for the simulation hot path: payloads (update vectors,
-  /// summary) are moved into the engine instead of copied. The const&
-  /// overload copies once and delegates here.
+  /// Move-in variant: payloads (update vectors, summary) are moved into the
+  /// engine instead of copied. The const& overload copies once and
+  /// delegates here.
   std::vector<Outbound> handle(NodeId from, Message&& msg, SimTime now);
   void handle(NodeId from, Message&& msg, SimTime now,
               std::vector<Outbound>& out);
+
+  /// The simulation hot path: a message arrived from the neighbour at
+  /// `from_slot` (its index in demand_table().entries()). Every per-peer
+  /// structure is indexed directly — no NodeId lookup.
+  void handle_slot(PeerSlot from_slot, Message&& msg, SimTime now,
+                   std::vector<Outbound>& out);
 
   /// Housekeeping: abandon sessions/offers idle past the timeout.
   void expire_inflight(SimTime now);
@@ -161,10 +170,15 @@ class ReplicaEngine {
   double own_demand() const noexcept { return own_demand_; }
 
   /// Primes the neighbour table (static experiments prime once at t=0;
-  /// dynamic ones rely on adverts instead).
+  /// dynamic ones rely on adverts instead). Non-neighbours are ignored.
   void prime_neighbour_demand(NodeId peer, double demand, SimTime now);
+  void prime_slot_demand(PeerSlot slot, double demand, SimTime now) {
+    table_.update_slot(slot, demand, now);
+  }
 
-  /// Adds an island-overlay neighbour discovered after construction (§6).
+  /// Adds an island-overlay neighbour discovered after construction (§6)
+  /// at the next slot; no-op (apart from restarting the partner cycle) if
+  /// `peer` already is a neighbour.
   void add_overlay_neighbour(NodeId peer, SimTime now);
 
   // --- introspection ---------------------------------------------------
@@ -241,14 +255,19 @@ class ReplicaEngine {
 
  private:
   struct SessionState {
-    NodeId peer = kInvalidNode;
+    PeerSlot slot = kNoSlot;
     SimTime started_at = 0.0;
     bool awaiting_reply = false;  // false: awaiting the peer's summary
   };
   struct OfferState {
-    NodeId peer = kInvalidNode;
+    PeerSlot slot = kNoSlot;
     SimTime started_at = 0.0;
     std::vector<UpdateId> offered;
+  };
+  /// A message's sender: its id and its slot (kNoSlot for a non-neighbour).
+  struct Peer {
+    NodeId id = kInvalidNode;
+    PeerSlot slot = kNoSlot;
   };
 
   /// Applies updates (moving payloads into the log); returns (id, timestamp)
@@ -258,40 +277,53 @@ class ReplicaEngine {
 
   /// Fast-update trigger (steps 13-18): offer the novel `gained` updates to
   /// eligible neighbours. `source` is excluded (it obviously has them).
-  void after_gain(const std::vector<OfferedId>& gained, NodeId source,
+  void after_gain(const std::vector<OfferedId>& gained, PeerSlot source,
                   DeliveryPath path, SimTime now, std::vector<Outbound>& out);
 
   /// Discards payloads every neighbour is known to hold (auto_truncate).
   void maybe_auto_truncate();
 
-  bool peer_known_to_have_all(NodeId peer,
+  /// Opens a session with the neighbour at `slot`.
+  void start_session(PeerSlot slot, SimTime now, std::vector<Outbound>& out);
+
+  bool peer_known_to_have_all(PeerSlot slot,
                               const std::vector<OfferedId>& gained) const;
 
-  /// The knowledge summary for `peer`, created empty on first use.
-  SummaryVector& knowledge_for(NodeId peer);
-  const SummaryVector* find_knowledge(NodeId peer) const;
+  /// What the sender is known to hold, or nullptr for a non-neighbour
+  /// (nothing reads a non-neighbour's knowledge, so none is kept).
+  SummaryVector* knowledge_of(Peer from) noexcept {
+    return from.slot == kNoSlot ? nullptr : &peer_knowledge_[from.slot];
+  }
 
-  /// Builds an Outbound and records traffic counters.
-  void send(std::vector<Outbound>& out, NodeId to, Message msg);
+  /// Shared tail of both handle() shapes.
+  void receive(Peer from, Message&& msg, SimTime now,
+               std::vector<Outbound>& out);
+
+  /// Appends an Outbound and records traffic counters.
+  void send(std::vector<Outbound>& out, Peer to, Message msg);
+  /// The neighbour at `slot` as a send target.
+  Peer neighbour(PeerSlot slot) const noexcept {
+    return Peer{table_.entries()[slot].peer, slot};
+  }
 
   // Message handlers; all append their traffic to `out`. Payload-carrying
   // messages (push/reply/data) arrive by value so their update vectors can
   // be moved into the log.
-  void on_session_request(NodeId from, const SessionRequest& m, SimTime now,
+  void on_session_request(Peer from, const SessionRequest& m, SimTime now,
                           std::vector<Outbound>& out);
-  void on_session_summary(NodeId from, const SessionSummary& m, SimTime now,
+  void on_session_summary(Peer from, const SessionSummary& m, SimTime now,
                           std::vector<Outbound>& out);
-  void on_session_push(NodeId from, SessionPush m, SimTime now,
+  void on_session_push(Peer from, SessionPush m, SimTime now,
                        std::vector<Outbound>& out);
-  void on_session_reply(NodeId from, SessionReply m, SimTime now,
+  void on_session_reply(Peer from, SessionReply m, SimTime now,
                         std::vector<Outbound>& out);
-  void on_fast_offer(NodeId from, const FastOffer& m, SimTime now,
+  void on_fast_offer(Peer from, const FastOffer& m, SimTime now,
                      std::vector<Outbound>& out);
-  void on_fast_ack(NodeId from, const FastAck& m, SimTime now,
+  void on_fast_ack(Peer from, const FastAck& m, SimTime now,
                    std::vector<Outbound>& out);
-  void on_fast_data(NodeId from, FastData m, SimTime now,
+  void on_fast_data(Peer from, FastData m, SimTime now,
                     std::vector<Outbound>& out);
-  void on_demand_advert(NodeId from, const DemandAdvert& m, SimTime now,
+  void on_demand_advert(Peer from, const DemandAdvert& m, SimTime now,
                         std::vector<Outbound>& out);
 
   /// &health_ when tracking is enabled, nullptr otherwise — the disabled
@@ -322,9 +354,11 @@ class ReplicaEngine {
   // keeps the vectors sorted for binary-search lookups.
   std::vector<std::pair<std::uint64_t, SessionState>> sessions_;  // by us
   std::vector<std::pair<std::uint64_t, OfferState>> offers_;      // by us
-  // What each neighbour is known to have (via summaries, offers, data);
-  // sorted by peer id, at most degree-many entries.
-  std::vector<std::pair<NodeId, SummaryVector>> peer_knowledge_;
+  // What each neighbour is known to have (via summaries, offers, data), by
+  // slot. Reset clears the summaries but keeps their buffers.
+  std::vector<SummaryVector> peer_knowledge_;
+  // Reused demand order for after_gain's push-target walk.
+  std::vector<PeerSlot> push_order_;
 };
 
 }  // namespace fastcons

@@ -102,6 +102,10 @@ std::size_t estimated_wire_size(const Message& msg) noexcept;
 /// A message queued for transmission by an engine.
 struct Outbound {
   NodeId to = kInvalidNode;
+  /// The sender's slot for `to`, or kNoSlot when `to` is not one of its
+  /// neighbours (a reply to an unknown sender). Slot-addressed runtimes
+  /// route by it; the TCP server routes by `to`.
+  PeerSlot slot = kNoSlot;
   Message msg;
 };
 

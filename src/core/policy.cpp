@@ -6,60 +6,73 @@
 
 namespace fastcons {
 
-NodeId RandomPolicy::choose(const DemandTable& table, SimTime now, Rng& rng,
-                            const PeerHealthTracker* health) {
-  const std::vector<NodeId> alive = table.alive(now, health);
-  if (alive.empty()) return kInvalidNode;
-  return alive[rng.index(alive.size())];
+PeerSlot RandomPolicy::choose_slot(const DemandTable& table, SimTime now,
+                                   Rng& rng, const PeerHealthTracker* health) {
+  table.alive_slots(now, health, alive_);
+  if (alive_.empty()) return kNoSlot;
+  return alive_[rng.index(alive_.size())];
 }
 
-NodeId DemandCyclePolicy::choose(const DemandTable& table, SimTime now,
-                                 Rng& /*rng*/,
-                                 const PeerHealthTracker* health) {
+void DemandCyclePolicy::start_cycle(std::size_t degree) {
+  visited_.assign(degree, 0);
+}
+
+PeerSlot DemandCyclePolicy::choose_slot(const DemandTable& table, SimTime now,
+                                        Rng& /*rng*/,
+                                        const PeerHealthTracker* health) {
+  // The neighbour set only changes through add_overlay_neighbour, which
+  // resets the policy; a size mismatch is a fresh (or reset) policy.
+  if (visited_.size() != table.entries().size()) {
+    start_cycle(table.entries().size());
+    order_.clear();
+  }
   if (resort_each_pick_) {
     // Dynamic: among alive neighbours not yet visited this cycle, take the
-    // one with the highest *current* demand. A fresh cycle starts when all
-    // alive neighbours have been visited.
-    for (int attempt = 0; attempt < 2; ++attempt) {
-      const std::vector<NodeId> order = table.by_demand_desc(now, health);
-      for (const NodeId peer : order) {
-        if (!visited_.contains(peer)) {
-          visited_.insert(peer);
-          return peer;
+    // one with the highest *current* demand — the first unvisited entry of
+    // the demand order, found by one scan instead of a sort. A fresh cycle
+    // starts when all alive neighbours have been visited.
+    table.alive_slots(now, health, order_);
+    if (order_.empty()) return kNoSlot;
+    PeerSlot best = kNoSlot;
+    for (int attempt = 0; attempt < 2 && best == kNoSlot; ++attempt) {
+      if (attempt == 1) start_cycle(visited_.size());  // cycle exhausted
+      for (const PeerSlot slot : order_) {
+        if (visited_[slot] != 0) continue;
+        if (best == kNoSlot || table.ranks_before(slot, best, now, health)) {
+          best = slot;
         }
       }
-      if (order.empty()) return kInvalidNode;
-      visited_.clear();  // cycle exhausted; start over
     }
-    return kInvalidNode;
+    visited_[best] = 1;
+    return best;
   }
   // Static: freeze the order when the cycle begins; walk it to the end even
   // if demand shifts underneath (the behaviour §3 criticises).
   for (int attempt = 0; attempt < 2; ++attempt) {
-    if (frozen_order_.empty()) {
-      frozen_order_ = table.by_demand_desc(now, health);
-      visited_.clear();
-      if (frozen_order_.empty()) return kInvalidNode;
+    if (order_.empty()) {
+      table.rank_slots(now, health, order_);
+      start_cycle(visited_.size());
+      if (order_.empty()) return kNoSlot;
     }
-    for (const NodeId peer : frozen_order_) {
-      if (visited_.contains(peer)) continue;
-      visited_.insert(peer);
+    for (const PeerSlot slot : order_) {
+      if (visited_[slot] != 0) continue;
+      visited_[slot] = 1;
       // Skip silently if the peer died after the order froze.
-      if (!table.is_alive(peer, now)) continue;
+      if (!table.is_alive(table.entries()[slot], now)) continue;
       if (health != nullptr && health->enabled() &&
-          health->state(peer, now) == PeerHealth::down) {
+          health->slot_state(slot, now) == PeerHealth::down) {
         continue;
       }
-      return peer;
+      return slot;
     }
-    frozen_order_.clear();  // cycle exhausted; refreeze next attempt
+    order_.clear();  // cycle exhausted; refreeze next attempt
   }
-  return kInvalidNode;
+  return kNoSlot;
 }
 
 void DemandCyclePolicy::reset() {
   visited_.clear();
-  frozen_order_.clear();
+  order_.clear();
 }
 
 std::unique_ptr<PartnerPolicy> make_policy(PartnerSelection selection) {

@@ -4,8 +4,8 @@
 #ifndef FASTCONS_CORE_POLICY_HPP
 #define FASTCONS_CORE_POLICY_HPP
 
+#include <cstdint>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -20,12 +20,20 @@ class PartnerPolicy {
  public:
   virtual ~PartnerPolicy() = default;
 
-  /// Returns the chosen neighbour or kInvalidNode when none is eligible
-  /// (e.g. all neighbours dead). `health`, when non-null, excludes peers
-  /// the tracker derives `down` and decays suspect peers' demand in the
-  /// selection order; nullptr is health-blind (the historical behaviour).
-  virtual NodeId choose(const DemandTable& table, SimTime now, Rng& rng,
-                        const PeerHealthTracker* health) = 0;
+  /// Returns the chosen neighbour's slot in `table`, or kNoSlot when none
+  /// is eligible (e.g. all neighbours dead). `health`, when non-null,
+  /// excludes peers the tracker derives `down` and decays suspect peers'
+  /// demand in the selection order; nullptr is health-blind (the historical
+  /// behaviour). `health` is indexed by the table's slots.
+  virtual PeerSlot choose_slot(const DemandTable& table, SimTime now, Rng& rng,
+                               const PeerHealthTracker* health) = 0;
+
+  /// The chosen neighbour's id, or kInvalidNode when none is eligible.
+  NodeId choose(const DemandTable& table, SimTime now, Rng& rng,
+                const PeerHealthTracker* health) {
+    const PeerSlot slot = choose_slot(table, now, rng, health);
+    return slot == kNoSlot ? kInvalidNode : table.entries()[slot].peer;
+  }
 
   /// Health-blind convenience overload.
   NodeId choose(const DemandTable& table, SimTime now, Rng& rng) {
@@ -39,9 +47,11 @@ class PartnerPolicy {
 /// Golding's baseline: uniformly random alive neighbour, with replacement.
 class RandomPolicy final : public PartnerPolicy {
  public:
-  using PartnerPolicy::choose;
-  NodeId choose(const DemandTable& table, SimTime now, Rng& rng,
-                const PeerHealthTracker* health) override;
+  PeerSlot choose_slot(const DemandTable& table, SimTime now, Rng& rng,
+                       const PeerHealthTracker* health) override;
+
+ private:
+  std::vector<PeerSlot> alive_;  // reused per pick
 };
 
 /// Demand-ordered cycle without replacement (paper §2 static / §4 dynamic).
@@ -57,15 +67,19 @@ class DemandCyclePolicy final : public PartnerPolicy {
   explicit DemandCyclePolicy(bool resort_each_pick)
       : resort_each_pick_(resort_each_pick) {}
 
-  using PartnerPolicy::choose;
-  NodeId choose(const DemandTable& table, SimTime now, Rng& rng,
-                const PeerHealthTracker* health) override;
+  PeerSlot choose_slot(const DemandTable& table, SimTime now, Rng& rng,
+                       const PeerHealthTracker* health) override;
   void reset() override;
 
  private:
+  /// Marks every slot unvisited, sized to the table's current degree.
+  void start_cycle(std::size_t degree);
+
   bool resort_each_pick_;
-  std::set<NodeId> visited_;
-  std::vector<NodeId> frozen_order_;  // only used when !resort_each_pick_
+  std::vector<std::uint8_t> visited_;  // by slot
+  // Dynamic: the alive slots at this pick (a reused buffer). Static: the
+  // demand order frozen when the cycle began.
+  std::vector<PeerSlot> order_;
 };
 
 /// Factory keyed by the configuration enum.

@@ -6,25 +6,10 @@
 
 namespace fastcons {
 
-namespace {
-
-/// First index entry with key >= peer.
-auto index_lower_bound(const std::vector<std::pair<NodeId, std::uint32_t>>& index,
-                       NodeId peer) {
-  return std::lower_bound(
-      index.begin(), index.end(), peer,
-      [](const std::pair<NodeId, std::uint32_t>& e, NodeId p) {
-        return e.first < p;
-      });
-}
-
-}  // namespace
-
 DemandTable::DemandTable(std::vector<NodeId> neighbours,
                          SimTime liveness_window)
     : liveness_window_(liveness_window) {
   entries_.reserve(neighbours.size());
-  index_.reserve(neighbours.size());
   for (const NodeId peer : neighbours) {
     add_neighbour(peer, 0.0);
   }
@@ -34,45 +19,38 @@ void DemandTable::reset(const std::vector<NodeId>& neighbours,
                         SimTime liveness_window) {
   liveness_window_ = liveness_window;
   entries_.clear();
-  index_.clear();
   for (const NodeId peer : neighbours) {
     add_neighbour(peer, 0.0);
   }
 }
 
-const DemandEntry* DemandTable::find(NodeId peer) const {
-  const auto it = index_lower_bound(index_, peer);
-  if (it == index_.end() || it->first != peer) return nullptr;
-  return &entries_[it->second];
-}
-
-DemandEntry* DemandTable::find(NodeId peer) {
-  const auto it = index_lower_bound(index_, peer);
-  if (it == index_.end() || it->first != peer) return nullptr;
-  return &entries_[it->second];
+PeerSlot DemandTable::slot_of(NodeId peer) const noexcept {
+  for (std::size_t s = 0; s < entries_.size(); ++s) {
+    if (entries_[s].peer == peer) return static_cast<PeerSlot>(s);
+  }
+  return kNoSlot;
 }
 
 void DemandTable::update(NodeId peer, double demand, SimTime now) {
-  if (DemandEntry* entry = find(peer)) {
-    entry->demand = demand;
-    entry->last_heard = now;
-  }
+  const PeerSlot slot = slot_of(peer);
+  if (slot != kNoSlot) update_slot(slot, demand, now);
 }
 
 void DemandTable::touch(NodeId peer, SimTime now) {
-  if (DemandEntry* entry = find(peer)) entry->last_heard = now;
+  const PeerSlot slot = slot_of(peer);
+  if (slot != kNoSlot) touch_slot(slot, now);
 }
 
 std::optional<double> DemandTable::demand_of(NodeId peer) const {
-  const DemandEntry* entry = find(peer);
-  if (entry == nullptr) return std::nullopt;
-  return entry->demand;
+  const PeerSlot slot = slot_of(peer);
+  if (slot == kNoSlot) return std::nullopt;
+  return entries_[slot].demand;
 }
 
 bool DemandTable::is_alive(NodeId peer, SimTime now) const {
-  const DemandEntry* entry = find(peer);
-  if (entry == nullptr) return false;
-  return is_alive(*entry, now);
+  const PeerSlot slot = slot_of(peer);
+  if (slot == kNoSlot) return false;
+  return is_alive(entries_[slot], now);
 }
 
 bool DemandTable::is_alive(const DemandEntry& entry,
@@ -102,30 +80,35 @@ std::vector<NodeId> DemandTable::by_demand_desc(SimTime now) const {
 
 std::vector<NodeId> DemandTable::by_demand_desc(
     SimTime now, const PeerHealthTracker* health) const {
-  // (entry, effective demand): health decays a suspect peer's demand and
-  // zeroes a down peer's (down peers are excluded below, so the zero never
-  // sorts — it is only here to keep the pair construction branch-free).
-  std::vector<std::pair<const DemandEntry*, double>> live;
-  live.reserve(entries_.size());
-  for (const auto& entry : entries_) {
-    if (!is_alive(entry, now)) continue;
-    double effective = entry.demand;
-    if (health != nullptr && health->enabled()) {
-      if (health->state(entry.peer, now) == PeerHealth::down) continue;
-      effective *= health->demand_factor(entry.peer, now);
-    }
-    live.emplace_back(&entry, effective);
+  std::vector<PeerSlot> order;
+  rank_slots(now, health, order);
+  std::vector<NodeId> peers;
+  peers.reserve(order.size());
+  for (const PeerSlot slot : order) peers.push_back(entries_[slot].peer);
+  return peers;
+}
+
+void DemandTable::rank_slots(SimTime now, const PeerHealthTracker* health,
+                             std::vector<PeerSlot>& order) const {
+  alive_slots(now, health, order);
+  std::sort(order.begin(), order.end(), [&](PeerSlot a, PeerSlot b) {
+    return ranks_before(a, b, now, health);
+  });
+}
+
+bool DemandTable::ranks_before(PeerSlot a, PeerSlot b, SimTime now,
+                               const PeerHealthTracker* health) const {
+  // Health decays a suspect peer's demand (down peers never reach here:
+  // alive_slots excludes them); without health the key is the raw
+  // advertised demand.
+  double da = entries_[a].demand;
+  double db = entries_[b].demand;
+  if (health != nullptr && health->enabled()) {
+    da *= health->slot_demand_factor(a, now);
+    db *= health->slot_demand_factor(b, now);
   }
-  std::sort(live.begin(), live.end(),
-            [](const std::pair<const DemandEntry*, double>& a,
-               const std::pair<const DemandEntry*, double>& b) {
-              if (a.second != b.second) return a.second > b.second;
-              return a.first->peer < b.first->peer;
-            });
-  std::vector<NodeId> order;
-  order.reserve(live.size());
-  for (const auto& [entry, effective] : live) order.push_back(entry->peer);
-  return order;
+  if (da != db) return da > db;
+  return entries_[a].peer < entries_[b].peer;
 }
 
 std::vector<NodeId> DemandTable::alive(SimTime now) const {
@@ -134,23 +117,31 @@ std::vector<NodeId> DemandTable::alive(SimTime now) const {
 
 std::vector<NodeId> DemandTable::alive(SimTime now,
                                        const PeerHealthTracker* health) const {
+  std::vector<PeerSlot> slots;
+  alive_slots(now, health, slots);
   std::vector<NodeId> result;
-  result.reserve(entries_.size());
-  for (const auto& entry : entries_) {
-    if (!is_alive(entry, now)) continue;
-    if (health != nullptr && health->enabled() &&
-        health->state(entry.peer, now) == PeerHealth::down) {
-      continue;
-    }
-    result.push_back(entry.peer);
-  }
+  result.reserve(slots.size());
+  for (const PeerSlot slot : slots) result.push_back(entries_[slot].peer);
   return result;
 }
 
+void DemandTable::alive_slots(SimTime now, const PeerHealthTracker* health,
+                              std::vector<PeerSlot>& out) const {
+  const bool use_health = health != nullptr && health->enabled();
+  FASTCONS_EXPECTS(!use_health || health->size() == entries_.size());
+  out.clear();
+  for (std::size_t s = 0; s < entries_.size(); ++s) {
+    const auto slot = static_cast<PeerSlot>(s);
+    if (!is_alive(entries_[s], now)) continue;
+    if (use_health && health->slot_state(slot, now) == PeerHealth::down) {
+      continue;
+    }
+    out.push_back(slot);
+  }
+}
+
 void DemandTable::add_neighbour(NodeId peer, SimTime now) {
-  const auto it = index_lower_bound(index_, peer);
-  if (it != index_.end() && it->first == peer) return;
-  index_.insert(it, {peer, static_cast<std::uint32_t>(entries_.size())});
+  if (slot_of(peer) != kNoSlot) return;
   entries_.push_back(DemandEntry{peer, 0.0, now});
 }
 

@@ -32,24 +32,20 @@ void PeerHealthTracker::reset(const HealthConfig& config) {
 }
 
 void PeerHealthTracker::add_peer(NodeId peer, SimTime now) {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), peer,
-      [](const Entry& e, NodeId p) { return e.peer < p; });
-  if (it != entries_.end() && it->peer == peer) return;
-  entries_.insert(it, Entry{peer, now, 0.0, 0});
+  if (slot_of(peer) != kNoSlot) return;
+  entries_.push_back(Entry{peer, now, 0.0, 0});
+}
+
+PeerSlot PeerHealthTracker::slot_of(NodeId peer) const noexcept {
+  for (std::size_t s = 0; s < entries_.size(); ++s) {
+    if (entries_[s].peer == peer) return static_cast<PeerSlot>(s);
+  }
+  return kNoSlot;
 }
 
 const PeerHealthTracker::Entry* PeerHealthTracker::find(NodeId peer) const {
-  const auto it = std::lower_bound(
-      entries_.begin(), entries_.end(), peer,
-      [](const Entry& e, NodeId p) { return e.peer < p; });
-  if (it == entries_.end() || it->peer != peer) return nullptr;
-  return &*it;
-}
-
-PeerHealthTracker::Entry* PeerHealthTracker::find(NodeId peer) {
-  return const_cast<Entry*>(
-      static_cast<const PeerHealthTracker*>(this)->find(peer));
+  const PeerSlot slot = slot_of(peer);
+  return slot == kNoSlot ? nullptr : &entries_[slot];
 }
 
 PeerHealth PeerHealthTracker::derive(const Entry& entry,
@@ -85,21 +81,27 @@ SimTime PeerHealthTracker::derive_suspect_since(const Entry& entry,
 }
 
 PeerHealth PeerHealthTracker::record_contact(NodeId peer, SimTime now) {
-  Entry* entry = find(peer);
-  if (entry == nullptr) return PeerHealth::up;
-  const PeerHealth before = derive(*entry, now);
-  entry->last_heard = now;
-  entry->failures = 0;
-  entry->first_failure = 0.0;
+  const PeerSlot slot = slot_of(peer);
+  if (slot == kNoSlot) return PeerHealth::up;
+  return record_slot_contact(slot, now);
+}
+
+PeerHealth PeerHealthTracker::record_slot_contact(PeerSlot slot, SimTime now) {
+  Entry& entry = entries_[slot];
+  const PeerHealth before = derive(entry, now);
+  entry.last_heard = now;
+  entry.failures = 0;
+  entry.first_failure = 0.0;
   if (before == PeerHealth::down) ++recoveries_;
   return before;
 }
 
 void PeerHealthTracker::record_failure(NodeId peer, SimTime now) {
-  Entry* entry = find(peer);
-  if (entry == nullptr) return;
-  if (entry->failures == 0) entry->first_failure = now;
-  ++entry->failures;
+  const PeerSlot slot = slot_of(peer);
+  if (slot == kNoSlot) return;
+  Entry& entry = entries_[slot];
+  if (entry.failures == 0) entry.first_failure = now;
+  ++entry.failures;
 }
 
 PeerHealth PeerHealthTracker::state(NodeId peer, SimTime now) const {
@@ -109,7 +111,12 @@ PeerHealth PeerHealthTracker::state(NodeId peer, SimTime now) const {
 }
 
 double PeerHealthTracker::demand_factor(NodeId peer, SimTime now) const {
-  switch (state(peer, now)) {
+  const PeerSlot slot = slot_of(peer);
+  return slot == kNoSlot ? 1.0 : slot_demand_factor(slot, now);
+}
+
+double PeerHealthTracker::slot_demand_factor(PeerSlot slot, SimTime now) const {
+  switch (slot_state(slot, now)) {
     case PeerHealth::up: return 1.0;
     case PeerHealth::suspect: return config_.suspect_demand_factor;
     case PeerHealth::down: return 0.0;
@@ -133,6 +140,10 @@ std::vector<PeerHealthView> PeerHealthTracker::views(SimTime now) const {
   std::vector<PeerHealthView> all;
   all.reserve(entries_.size());
   for (const Entry& entry : entries_) all.push_back(view(entry.peer, now));
+  std::sort(all.begin(), all.end(),
+            [](const PeerHealthView& a, const PeerHealthView& b) {
+              return a.peer < b.peer;
+            });
   return all;
 }
 

@@ -70,6 +70,10 @@ struct PeerHealthView {
 };
 
 /// Draw-free health tracker for one replica's neighbour set.
+///
+/// Entries are indexed by PeerSlot, in the order peers were added (the
+/// engine adds them in its demand table's order, so one slot addresses
+/// both). The NodeId overloads resolve the slot with one scan.
 class PeerHealthTracker {
  public:
   PeerHealthTracker() = default;
@@ -88,9 +92,15 @@ class PeerHealthTracker {
   bool enabled() const noexcept { return config_.enabled; }
   const HealthConfig& config() const noexcept { return config_; }
 
-  /// Adds a peer discovered after construction (island bridges). No-op if
-  /// already tracked.
+  /// Adds a peer discovered after construction (island bridges) at the
+  /// next slot. No-op if already tracked.
   void add_peer(NodeId peer, SimTime now);
+
+  /// Number of tracked peers (slots 0..size()-1).
+  std::size_t size() const noexcept { return entries_.size(); }
+
+  /// Slot of `peer`, or kNoSlot when it is not tracked.
+  PeerSlot slot_of(NodeId peer) const noexcept;
 
   /// Any received message proves the peer is up: refreshes last_heard and
   /// clears the consecutive-failure run. Returns the state the peer was in
@@ -98,16 +108,21 @@ class PeerHealthTracker {
   /// return means this contact revived the peer). Unknown peers return `up`
   /// and are ignored.
   PeerHealth record_contact(NodeId peer, SimTime now);
+  PeerHealth record_slot_contact(PeerSlot slot, SimTime now);
 
   /// Live path: a connect attempt to `peer` failed.
   void record_failure(NodeId peer, SimTime now);
 
   /// Derived state at `now`. Unknown peers (and disabled trackers) are `up`.
   PeerHealth state(NodeId peer, SimTime now) const;
+  PeerHealth slot_state(PeerSlot slot, SimTime now) const {
+    return derive(entries_[slot], now);
+  }
 
   /// Demand multiplier for push-target selection: 1.0 (up),
   /// suspect_demand_factor (suspect), 0.0 (down).
   double demand_factor(NodeId peer, SimTime now) const;
+  double slot_demand_factor(PeerSlot slot, SimTime now) const;
 
   /// Full derived snapshot for one peer / all peers (peer-id order).
   PeerHealthView view(NodeId peer, SimTime now) const;
@@ -129,12 +144,11 @@ class PeerHealthTracker {
   };
 
   const Entry* find(NodeId peer) const;
-  Entry* find(NodeId peer);
   PeerHealth derive(const Entry& entry, SimTime now) const noexcept;
   SimTime derive_suspect_since(const Entry& entry, SimTime now) const noexcept;
 
   HealthConfig config_;
-  std::vector<Entry> entries_;  // sorted by peer id
+  std::vector<Entry> entries_;  // by slot
   std::uint64_t recoveries_ = 0;
 };
 

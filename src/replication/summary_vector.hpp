@@ -58,6 +58,11 @@ class SummaryVector {
     extras_.clear();
   }
 
+  /// True when nothing is covered.
+  bool empty() const noexcept {
+    return watermarks_.empty() && extras_.empty();
+  }
+
   /// Watermark for one origin (largest w such that all of 1..w are seen).
   SeqNo watermark(NodeId origin) const;
 

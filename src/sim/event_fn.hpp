@@ -6,9 +6,11 @@
 // even though events fire exactly once), and libstdc++'s inline buffer is
 // 16 bytes, so a delivery closure capturing a Message always heap-allocates.
 // EventFn accepts move-only captures and inlines anything up to
-// kInlineBytes (chosen to fit the largest closure SimNetwork schedules:
-// [this, from, to, msg] with a SessionPush payload); larger or
-// potentially-throwing-on-move callables fall back to the heap.
+// kInlineBytes (chosen to fit the largest closure SimNetwork schedules: a
+// delivery carrying a SessionPush payload); larger or
+// potentially-throwing-on-move callables fall back to the heap. The
+// simulator builds each closure straight into its slab slot with emplace()
+// and invokes it there, so a scheduled closure is moved exactly once.
 #ifndef FASTCONS_SIM_EVENT_FN_HPP
 #define FASTCONS_SIM_EVENT_FN_HPP
 
@@ -22,8 +24,17 @@ namespace fastcons {
 class EventFn {
  public:
   /// Inline capacity in bytes. Large enough for a simulated message
-  /// delivery ([this, from, to, Message]) without a heap allocation.
+  /// delivery (SimNetwork's Delivery: network, receiver, slot, Message)
+  /// without a heap allocation.
   static constexpr std::size_t kInlineBytes = 120;
+
+  /// Whether a callable of type D is stored inline (no heap allocation).
+  /// Inline storage additionally requires a noexcept move, because
+  /// EventFn's own move is noexcept.
+  template <typename D>
+  static constexpr bool stores_inline =
+      sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<D>;
 
   EventFn() noexcept = default;
 
@@ -31,13 +42,20 @@ class EventFn {
             typename = std::enable_if_t<!std::is_same_v<D, EventFn> &&
                                         std::is_invocable_r_v<void, D&>>>
   EventFn(F&& fn) {  // NOLINT(google-explicit-constructor): function-like
-    if constexpr (fits_inline<D>) {
-      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
-      vt_ = &kInlineVt<D>;
-    } else {
-      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(fn)));
-      vt_ = &kHeapVt<D>;
-    }
+    construct(std::forward<F>(fn));
+  }
+
+  /// Replaces the wrapped callable with `fn`, constructed in place: one
+  /// move (or copy) of `fn` and no intermediate EventFn. If constructing
+  /// the callable throws, *this is left empty.
+  template <typename F>
+  void emplace(F&& fn) {
+    using D = std::decay_t<F>;
+    static_assert(!std::is_same_v<D, EventFn> &&
+                      std::is_invocable_r_v<void, D&>,
+                  "emplace a void() callable, not an EventFn");
+    reset();
+    construct(std::forward<F>(fn));
   }
 
   EventFn(EventFn&& other) noexcept { move_from(other); }
@@ -74,12 +92,19 @@ class EventFn {
     void (*destroy)(void*) noexcept;
   };
 
-  // The slab the simulator keeps EventFns in grows by relocation, so inline
-  // storage additionally requires a noexcept move.
-  template <typename D>
-  static constexpr bool fits_inline =
-      sizeof(D) <= kInlineBytes && alignof(D) <= alignof(std::max_align_t) &&
-      std::is_nothrow_move_constructible_v<D>;
+  // Precondition: empty. Sets vt_ only once the callable exists, so a
+  // throwing constructor leaves *this empty.
+  template <typename F>
+  void construct(F&& fn) {
+    using D = std::decay_t<F>;
+    if constexpr (stores_inline<D>) {
+      ::new (static_cast<void*>(storage_)) D(std::forward<F>(fn));
+      vt_ = &kInlineVt<D>;
+    } else {
+      ::new (static_cast<void*>(storage_)) D*(new D(std::forward<F>(fn)));
+      vt_ = &kHeapVt<D>;
+    }
+  }
 
   template <typename D>
   static D* inline_ptr(void* s) noexcept {

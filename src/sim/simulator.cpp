@@ -21,29 +21,33 @@ std::uint64_t Simulator::thread_events_executed() noexcept {
 // --------------------------------------------------------------------------
 // Slab
 
-std::uint32_t Simulator::acquire_slot(EventFn action) {
+std::uint32_t Simulator::acquire_slot() {
   std::uint32_t slot;
   if (free_head_ != kNoFree) {
     slot = free_head_;
-    free_head_ = slots_[slot].next_free;
-    slots_[slot].action = std::move(action);
+    free_head_ = slot_at(slot).next_free;
   } else {
-    FASTCONS_EXPECTS(slots_.size() < (1u << 24));  // HeapEntry::slot width
-    slot = static_cast<std::uint32_t>(slots_.size());
-    slots_.emplace_back();
-    slots_[slot].action = std::move(action);
+    FASTCONS_EXPECTS(slot_count_ < (1u << 24));  // HeapEntry::slot width
+    if (slot_count_ == chunks_.size() * kChunkSlots) {
+      chunks_.push_back(std::make_unique<Slot[]>(kChunkSlots));
+    }
+    slot = slot_count_++;
   }
   ++live_;
   return slot;
 }
 
 void Simulator::release_slot(std::uint32_t slot) noexcept {
-  Slot& s = slots_[slot];
+  ++slot_at(slot).generation;  // invalidates outstanding heap entries and handles
+  --live_;
+  recycle_slot(slot);
+}
+
+void Simulator::recycle_slot(std::uint32_t slot) noexcept {
+  Slot& s = slot_at(slot);
   s.action.reset();
-  ++s.generation;  // invalidates outstanding heap entries and handles
   s.next_free = free_head_;
   free_head_ = slot;
-  --live_;
 }
 
 // --------------------------------------------------------------------------
@@ -91,12 +95,13 @@ void Simulator::drop_dead_top() {
 // --------------------------------------------------------------------------
 // Public interface
 
-TimerHandle Simulator::schedule_at(SimTime when, Action action) {
+void Simulator::check_schedulable(SimTime when) const {
   FASTCONS_EXPECTS(when >= now_);
-  FASTCONS_EXPECTS(static_cast<bool>(action));
   FASTCONS_EXPECTS(next_seq_ < (1ull << 40));  // HeapEntry::seq width
-  const std::uint32_t slot = acquire_slot(std::move(action));
-  const std::uint32_t generation = slots_[slot].generation;
+}
+
+TimerHandle Simulator::enqueue(SimTime when, std::uint32_t slot) {
+  const std::uint32_t generation = slot_at(slot).generation;
   HeapEntry entry;
   entry.when = when;
   entry.seq = next_seq_++;
@@ -106,16 +111,11 @@ TimerHandle Simulator::schedule_at(SimTime when, Action action) {
   return TimerHandle{slot, generation};
 }
 
-TimerHandle Simulator::schedule_in(SimTime delay, Action action) {
-  FASTCONS_EXPECTS(delay >= 0.0);
-  return schedule_at(now_ + delay, std::move(action));
-}
-
 bool Simulator::cancel(TimerHandle handle) noexcept {
   if (!handle.valid()) return false;
   const std::uint32_t slot = handle.slot();
-  if (slot >= slots_.size()) return false;
-  if (slots_[slot].generation != handle.generation()) return false;
+  if (slot >= slot_count_) return false;
+  if (slot_at(slot).generation != handle.generation()) return false;
   release_slot(slot);  // the heap entry dies with the generation bump
   return true;
 }
@@ -126,14 +126,29 @@ bool Simulator::step() {
     const HeapEntry top = heap_[0];
     heap_pop_min();
     if (!entry_live(top)) continue;  // cancelled
-    // Move the action out and release the slot before invoking: the action
-    // may schedule (reusing this slot) or cancel other events.
-    EventFn action = std::move(slots_[top.slot].action);
-    release_slot(static_cast<std::uint32_t>(top.slot));
+    const auto slot = static_cast<std::uint32_t>(top.slot);
+    Slot& fired = slot_at(slot);
+    // The event is no longer pending: bump the generation first, so its
+    // handle (even cancelled from inside the action) is dead. The closure
+    // runs in place — chunks never move, and the slot stays off the free
+    // list until the action returns, so nothing it schedules reuses it.
+    ++fired.generation;
+    --live_;
     now_ = top.when;
     ++executed_;
     ++t_events_executed;
-    action();
+    const std::uint32_t outer = running_;  // an enclosing event (nested run)
+    running_ = slot;
+    try {
+      fired.action();
+    } catch (...) {
+      // The event still fired: its slot is freed before the error escapes.
+      running_ = outer;
+      recycle_slot(slot);
+      throw;
+    }
+    running_ = outer;
+    recycle_slot(slot);
     return true;
   }
 }
@@ -151,13 +166,14 @@ void Simulator::reset() noexcept {
   // closures and invalidating outstanding handles via the generation bump.
   // Walking backwards leaves slot 0 at the head, matching the order a
   // fresh slab hands slots out in.
+  FASTCONS_EXPECTS(running_ == kNoFree);
   free_head_ = kNoFree;
-  for (std::size_t i = slots_.size(); i-- > 0;) {
-    Slot& slot = slots_[i];
+  for (std::uint32_t i = slot_count_; i-- > 0;) {
+    Slot& slot = slot_at(i);
     slot.action.reset();
     ++slot.generation;
     slot.next_free = free_head_;
-    free_head_ = static_cast<std::uint32_t>(i);
+    free_head_ = i;
   }
   live_ = 0;
   now_ = 0.0;

@@ -6,7 +6,10 @@
 //
 // Layout: closures live in a slab with a free list, addressed by index from
 // the heap entries; the priority queue is a flat 4-ary min-heap of 24-byte
-// entries. Cancellation is O(1) and allocation-free: it bumps the slot's
+// entries. The slab grows in fixed-size chunks that never move, so a
+// closure is built directly in its slot (schedule_at forwards the callable
+// there) and invoked in place: one move per scheduled closure, none of them
+// a relocation. Cancellation is O(1) and allocation-free: it bumps the slot's
 // generation counter, and the orphaned heap entry is discarded when it
 // reaches the top (its recorded generation no longer matches). Handles carry
 // (slot, generation), so a handle to a fired or cancelled event can never
@@ -15,8 +18,11 @@
 #define FASTCONS_SIM_SIMULATOR_HPP
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
+#include "common/assert.hpp"
 #include "common/types.hpp"
 #include "sim/event_fn.hpp"
 
@@ -49,8 +55,6 @@ class TimerHandle {
 /// repository use 1.0 == one mean anti-entropy period (see common/types.hpp).
 class Simulator {
  public:
-  using Action = EventFn;
-
   Simulator() = default;
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
@@ -58,12 +62,29 @@ class Simulator {
   /// Current simulated time. Starts at 0.
   SimTime now() const noexcept { return now_; }
 
-  /// Schedules `action` at absolute time `when`; `when` must not be in the
-  /// past. Returns a cancellation handle.
-  TimerHandle schedule_at(SimTime when, Action action);
+  /// Schedules `action`, any void() callable, at absolute time `when`;
+  /// `when` must not be in the past. The callable is constructed straight
+  /// into its slab slot. If that construction throws, the slot is released
+  /// and nothing is scheduled. Returns a cancellation handle.
+  template <typename F>
+  TimerHandle schedule_at(SimTime when, F&& action) {
+    check_schedulable(when);
+    const std::uint32_t slot = acquire_slot();
+    try {
+      slot_at(slot).action.emplace(std::forward<F>(action));
+    } catch (...) {
+      release_slot(slot);
+      throw;
+    }
+    return enqueue(when, slot);
+  }
 
   /// Schedules `action` `delay` from now. `delay` must be >= 0.
-  TimerHandle schedule_in(SimTime delay, Action action);
+  template <typename F>
+  TimerHandle schedule_in(SimTime delay, F&& action) {
+    FASTCONS_EXPECTS(delay >= 0.0);
+    return schedule_at(now_ + delay, std::forward<F>(action));
+  }
 
   /// Cancels a pending event. Safe to call on already-fired, cancelled, or
   /// default-constructed handles; returns whether the event was pending.
@@ -89,7 +110,8 @@ class Simulator {
   /// without touching the allocator. Every pending event is discarded
   /// (closure destructors run) and every slot generation is bumped, so
   /// TimerHandles obtained before the reset can never cancel an event
-  /// scheduled after it.
+  /// scheduled after it. Must not be called from inside an event (the
+  /// running closure lives in the slab).
   void reset() noexcept;
 
   std::size_t pending_events() const noexcept { return live_; }
@@ -104,6 +126,8 @@ class Simulator {
 
  private:
   static constexpr std::uint32_t kNoFree = 0xffffffffu;
+  static constexpr std::uint32_t kChunkBits = 7;  // 128 slots per chunk
+  static constexpr std::uint32_t kChunkSlots = 1u << kChunkBits;
 
   struct Slot {
     EventFn action;
@@ -126,20 +150,41 @@ class Simulator {
     return a.seq < b.seq;
   }
 
-  bool entry_live(const HeapEntry& e) const noexcept {
-    return slots_[e.slot].generation == e.generation;
-  }
-
   void heap_push(const HeapEntry& entry);
   void heap_pop_min();
   /// Discards cancelled entries at the top; afterwards heap_ is empty or
   /// heap_[0] is live.
   void drop_dead_top();
 
-  std::uint32_t acquire_slot(EventFn action);
-  void release_slot(std::uint32_t slot) noexcept;
+  Slot& slot_at(std::uint32_t slot) noexcept {
+    return chunks_[slot >> kChunkBits][slot & (kChunkSlots - 1)];
+  }
+  const Slot& slot_at(std::uint32_t slot) const noexcept {
+    return chunks_[slot >> kChunkBits][slot & (kChunkSlots - 1)];
+  }
 
-  std::vector<Slot> slots_;
+  bool entry_live(const HeapEntry& e) const noexcept {
+    return slot_at(static_cast<std::uint32_t>(e.slot)).generation ==
+           e.generation;
+  }
+
+  void check_schedulable(SimTime when) const;
+  /// Pops a free slot (or grows the slab); the slot's action is empty.
+  std::uint32_t acquire_slot();
+  /// Pushes the slot's heap entry; returns its handle.
+  TimerHandle enqueue(SimTime when, std::uint32_t slot);
+  /// Kills a pending slot: bumps its generation, destroys its action and
+  /// returns it to the free list.
+  void release_slot(std::uint32_t slot) noexcept;
+  /// Destroys the slot's action and returns it to the free list (the
+  /// generation was already bumped when its event fired).
+  void recycle_slot(std::uint32_t slot) noexcept;
+
+  // Slab chunks; their addresses are stable for the simulator's lifetime.
+  std::vector<std::unique_ptr<Slot[]>> chunks_;
+  std::uint32_t slot_count_ = 0;
+  // The slot whose action is running (kNoFree between events).
+  std::uint32_t running_ = kNoFree;
   std::vector<HeapEntry> heap_;
   std::uint32_t free_head_ = kNoFree;
   std::size_t live_ = 0;

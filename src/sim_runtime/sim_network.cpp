@@ -36,7 +36,7 @@ void SimNetwork::reset(std::shared_ptr<const Graph> graph,
                        std::shared_ptr<const DemandModel> demand,
                        SimConfig config) {
   sim_.reset();
-  overlay_latency_.clear();
+  for (auto& bridges : bridges_) bridges.clear();
   outages_.clear();
   holding_count_.clear();
   dropped_ = 0;
@@ -82,17 +82,15 @@ void SimNetwork::wire(std::shared_ptr<const Graph> graph,
                    engines_.end());
   }
   first_seen_.resize(n);
+  bridges_.resize(n);
   planned_writes_.assign(n, 0);
   node_applied_.assign(n, 0);
   node_digest_.assign(n, 0);
   for (NodeId node = 0; node < n; ++node) {
     // The engine copies the ids out of this scratch list, so one buffer
-    // serves every node of every trial.
-    scratch_neighbours_.clear();
-    scratch_neighbours_.reserve(graph_->neighbours(node).size());
-    for (const Edge& e : graph_->neighbours(node)) {
-      scratch_neighbours_.push_back(e.peer);
-    }
+    // serves every node of every trial. Registration order is adjacency
+    // order, so the engine's slots are the graph's edge indices.
+    collect_neighbours(node);
     // Draw order matches the historical constructor exactly: one next_u64
     // per engine, then one split per node RNG.
     if (node < engines_.size()) {
@@ -107,12 +105,7 @@ void SimNetwork::wire(std::shared_ptr<const Graph> graph,
   // Prime demand knowledge at t=0.
   for (NodeId node = 0; node < n; ++node) {
     refresh_own_demand(node);
-    if (config_.prime_tables) {
-      for (const Edge& e : graph_->neighbours(node)) {
-        engines_[node].prime_neighbour_demand(
-            e.peer, demand_->demand_at(e.peer, 0.0), 0.0);
-      }
-    }
+    if (config_.prime_tables) prime_neighbours(node, 0.0);
     install_delivery_hook(node);
   }
   start_timers();
@@ -167,6 +160,23 @@ ReplicaEngine& SimNetwork::engine(NodeId n) {
 const ReplicaEngine& SimNetwork::engine(NodeId n) const {
   FASTCONS_EXPECTS(n < engines_.size());
   return engines_[n];
+}
+
+void SimNetwork::collect_neighbours(NodeId node) {
+  scratch_neighbours_.clear();
+  scratch_neighbours_.reserve(slot_count(node));
+  for (const Edge& e : graph_->neighbours(node)) {
+    scratch_neighbours_.push_back(e.peer);
+  }
+  for (const Edge& e : bridges_[node]) scratch_neighbours_.push_back(e.peer);
+}
+
+void SimNetwork::prime_neighbours(NodeId node, SimTime now) {
+  const auto slots = static_cast<PeerSlot>(slot_count(node));
+  for (PeerSlot slot = 0; slot < slots; ++slot) {
+    engines_[node].prime_slot_demand(
+        slot, demand_->demand_at(link(node, slot).peer, now), now);
+  }
 }
 
 std::uint64_t SimNetwork::edge_key(NodeId a, NodeId b) noexcept {
@@ -233,10 +243,10 @@ void SimNetwork::crash_tick(NodeId node) {
   if (!faults_.churn_active(sim_.now())) return;
   const FaultPlan::CrashOutcome outcome = faults_.on_crash(node, sim_.now());
   if (outcome.wipe) {
-    scratch_neighbours_.clear();
-    for (const Edge& e : graph_->neighbours(node)) {
-      scratch_neighbours_.push_back(e.peer);
-    }
+    // The reborn engine registers the same neighbours in the same order —
+    // overlay bridges included — so every slot, at this node and at its
+    // peers, keeps addressing the same link.
+    collect_neighbours(node);
     // The wipe loses data, not identity: the origin write counter survives
     // (see restore_write_seq) so post-restart writes keep the sequence ids
     // schedule_write promised and never collide with pre-crash writes that
@@ -247,8 +257,7 @@ void SimNetwork::crash_tick(NodeId node) {
     engines_[node].restore_write_seq(write_seq);
     install_delivery_hook(node);
     // The wiped summary changed without a delivery; drop the cached
-    // all_consistent() verdict. (Overlay neighbours are graph-external and
-    // are not restored — the faults family runs on plain topologies.)
+    // all_consistent() verdict.
     ++summary_revision_;
   }
   if (on_crash) on_crash(node, outcome.wipe, sim_.now());
@@ -262,12 +271,7 @@ void SimNetwork::restart_tick(NodeId node) {
     // Re-prime the reborn engine's demand knowledge like wire() does at
     // t=0; a retained engine kept its tables.
     refresh_own_demand(node);
-    if (config_.prime_tables) {
-      for (const Edge& e : graph_->neighbours(node)) {
-        engines_[node].prime_neighbour_demand(
-            e.peer, demand_->demand_at(e.peer, sim_.now()), sim_.now());
-      }
-    }
+    if (config_.prime_tables) prime_neighbours(node, sim_.now());
   }
   if (on_restart) on_restart(node, wiped, sim_.now());
   if (next_gap) {
@@ -312,9 +316,26 @@ void SimNetwork::add_overlay_link(NodeId a, NodeId b, double latency) {
   FASTCONS_EXPECTS(a < engines_.size() && b < engines_.size());
   FASTCONS_EXPECTS(a != b);
   FASTCONS_EXPECTS(latency >= 0.0);
-  overlay_latency_[edge_key(a, b)] = latency;
+  if (graph_->find_edge(a, b) == nullptr) {
+    const auto bridge = std::find_if(
+        bridges_[a].begin(), bridges_[a].end(),
+        [b](const Edge& e) { return e.peer == b; });
+    if (bridge != bridges_[a].end()) {
+      bridge->latency = latency;
+      bridges_[b][bridge->peer_slot - graph_->degree(b)].latency = latency;
+    } else {
+      const auto slot_at_a = static_cast<PeerSlot>(slot_count(a));
+      const auto slot_at_b = static_cast<PeerSlot>(slot_count(b));
+      bridges_[a].push_back(Edge{b, latency, slot_at_b});
+      bridges_[b].push_back(Edge{a, latency, slot_at_a});
+    }
+  }
   engines_[a].add_overlay_neighbour(b, sim_.now());
   engines_[b].add_overlay_neighbour(a, sim_.now());
+  FASTCONS_ASSERT(engines_[a].demand_table().entries().size() ==
+                  slot_count(a));
+  FASTCONS_ASSERT(engines_[b].demand_table().entries().size() ==
+                  slot_count(b));
   if (config_.prime_tables) {
     engines_[a].prime_neighbour_demand(b, demand_->demand_at(b, sim_.now()),
                                        sim_.now());
@@ -329,14 +350,18 @@ void SimNetwork::add_link_failure(NodeId a, NodeId b, SimTime down_at,
   outages_[edge_key(a, b)].push_back(Outage{down_at, up_at});
 }
 
-double SimNetwork::link_latency(NodeId a, NodeId b) const {
-  if (const Edge* edge = graph_->find_edge(a, b)) return edge->latency;
-  const auto it = overlay_latency_.find(edge_key(a, b));
-  if (it != overlay_latency_.end()) return it->second;
-  throw ConfigError("message between non-adjacent nodes");
+const Edge& SimNetwork::link(NodeId node, PeerSlot slot) const {
+  const std::vector<Edge>& wired = graph_->neighbours(node);
+  if (slot < wired.size()) return wired[slot];
+  const std::vector<Edge>& bridges = bridges_[node];
+  if (slot == kNoSlot || slot - wired.size() >= bridges.size()) {
+    throw ConfigError("message between non-adjacent nodes");
+  }
+  return bridges[slot - wired.size()];
 }
 
 bool SimNetwork::link_down(NodeId a, NodeId b, SimTime at) const {
+  if (outages_.empty()) return false;  // the common case: no hash lookup
   const auto it = outages_.find(edge_key(a, b));
   if (it == outages_.end()) return false;
   return std::any_of(it->second.begin(), it->second.end(),
@@ -346,6 +371,10 @@ bool SimNetwork::link_down(NodeId a, NodeId b, SimTime at) const {
 }
 
 void SimNetwork::dispatch(NodeId from, std::vector<Outbound>& outs) {
+  // A delivery spilling to EventFn's heap path would cost an allocation per
+  // message, more than slot addressing saves.
+  static_assert(EventFn::stores_inline<Delivery>,
+                "the delivery closure must fit EventFn's inline buffer");
   for (Outbound& out : outs) {
     // Decide the drop before touching the payload: a lost message must not
     // pay for a capture, and nothing below ever copies — the Message moves
@@ -371,31 +400,25 @@ void SimNetwork::dispatch(NodeId from, std::vector<Outbound>& outs) {
         ++dropped_;
         continue;
       }
-      const double latency = link_latency(from, out.to);
+      const Edge& edge = link(from, out.slot);
       if (fate.duplicated) {
         // The copy pays for the one Message copy in the layer; it only
         // happens on the duplicate path.
-        sim_.schedule_in(latency + fate.dup_extra_delay,
-                         [this, from, to = out.to, msg = out.msg]() mutable {
-                           deliver(from, to, std::move(msg));
-                         });
+        sim_.schedule_in(edge.latency + fate.dup_extra_delay,
+                         Delivery{this, out.to, edge.peer_slot, out.msg});
       }
-      sim_.schedule_in(latency + fate.extra_delay,
-                       [this, from, to = out.to,
-                        msg = std::move(out.msg)]() mutable {
-                         deliver(from, to, std::move(msg));
-                       });
+      sim_.schedule_in(edge.latency + fate.extra_delay,
+                       Delivery{this, out.to, edge.peer_slot,
+                                std::move(out.msg)});
       continue;
     }
-    const double latency = link_latency(from, out.to);
-    sim_.schedule_in(latency, [this, from, to = out.to,
-                               msg = std::move(out.msg)]() mutable {
-      deliver(from, to, std::move(msg));
-    });
+    const Edge& edge = link(from, out.slot);
+    sim_.schedule_in(edge.latency, Delivery{this, out.to, edge.peer_slot,
+                                            std::move(out.msg)});
   }
 }
 
-void SimNetwork::deliver(NodeId from, NodeId to, Message&& msg) {
+void SimNetwork::deliver(NodeId to, PeerSlot from_slot, Message&& msg) {
   if (faults_.node_down(to)) {
     // The receiver is crashed: the message is lost at its doorstep. Checked
     // at delivery (not send) time so a message racing a crash behaves like
@@ -406,7 +429,7 @@ void SimNetwork::deliver(NodeId from, NodeId to, Message&& msg) {
   }
   refresh_own_demand(to);  // gradient decisions use current demand
   scratch_out_.clear();
-  engines_[to].handle(from, std::move(msg), sim_.now(), scratch_out_);
+  engines_[to].handle_slot(from_slot, std::move(msg), sim_.now(), scratch_out_);
   dispatch(to, scratch_out_);
 }
 

@@ -62,6 +62,12 @@ struct SimConfig {
 /// with a fresh per-trial graph pass it by value as before. Engines copy
 /// the neighbour id lists they need at wiring time, so the graph is read,
 /// never aliased mutably.
+///
+/// Neighbours are addressed by slot end to end: an engine's slot s for a
+/// peer is the index of that half-edge in the node's adjacency (then its
+/// overlay bridges), so a message's latency is one indexed read and the
+/// receiver's slot for the sender is the edge's peer_slot — no NodeId
+/// search on the per-message path.
 class SimNetwork {
  public:
   SimNetwork(Graph graph, std::shared_ptr<const DemandModel> demand,
@@ -95,7 +101,10 @@ class SimNetwork {
                           SimTime at);
 
   /// Adds an island-overlay link (§6): both engines treat each other as
-  /// neighbours; messages between them take `latency`.
+  /// neighbours, at the next slot after their graph edges and earlier
+  /// bridges; messages between them take `latency`. Re-adding a bridge
+  /// updates its latency; a pair the graph already links keeps the graph
+  /// edge's latency.
   void add_overlay_link(NodeId a, NodeId b, double latency);
 
   /// Messages sent over {a, b} during [down_at, up_at) are dropped.
@@ -184,11 +193,34 @@ class SimNetwork {
   /// the vector's elements are consumed but the vector itself is the
   /// caller's (the hot paths pass scratch_out_ and reuse its capacity).
   void dispatch(NodeId from, std::vector<Outbound>& outs);
-  void deliver(NodeId from, NodeId to, Message&& msg);
+  /// Hands `msg` to `to`'s engine; `from_slot` is `to`'s slot for the
+  /// sender.
+  void deliver(NodeId to, PeerSlot from_slot, Message&& msg);
   void refresh_own_demand(NodeId n);
-  double link_latency(NodeId a, NodeId b) const;
+  /// The half-edge at `node`'s `slot`: a graph edge, or past the graph
+  /// degree an overlay bridge. Throws ConfigError for kNoSlot or an unknown
+  /// slot (a message between non-adjacent nodes).
+  const Edge& link(NodeId node, PeerSlot slot) const;
+  /// Number of slots at `node` (graph degree plus bridges).
+  std::size_t slot_count(NodeId node) const {
+    return graph_->degree(node) + bridges_[node].size();
+  }
+  /// Every neighbour of `node` in slot order, into scratch_neighbours_.
+  void collect_neighbours(NodeId node);
+  /// Primes `node`'s demand table with every neighbour's demand at `now`.
+  void prime_neighbours(NodeId node, SimTime now);
   bool link_down(NodeId a, NodeId b, SimTime at) const;
   static std::uint64_t edge_key(NodeId a, NodeId b) noexcept;
+
+  /// A scheduled message delivery. A named type (not a lambda) so its size
+  /// can be checked against EventFn's inline buffer.
+  struct Delivery {
+    SimNetwork* net;
+    NodeId to;
+    PeerSlot from_slot;
+    Message msg;
+    void operator()() { net->deliver(to, from_slot, std::move(msg)); }
+  };
 
   std::shared_ptr<const Graph> graph_;
   std::shared_ptr<const DemandModel> demand_;
@@ -199,7 +231,10 @@ class SimNetwork {
   std::vector<ReplicaEngine> engines_;
   std::vector<Rng> node_rngs_;
 
-  std::unordered_map<std::uint64_t, double> overlay_latency_;
+  // bridges_[n]: n's overlay half-edges; bridge k is n's slot
+  // graph_->degree(n) + k, and peer_slot addresses the reverse half-edge
+  // the same way at the peer.
+  std::vector<std::vector<Edge>> bridges_;
   struct Outage {
     SimTime down_at;
     SimTime up_at;
@@ -230,7 +265,7 @@ class SimNetwork {
   // single scratch vector serves every call without allocating.
   std::vector<Outbound> scratch_out_;
 
-  // Reused neighbour-id buffer for wiring engines on reset.
+  // Reused neighbour-id buffer for wiring engines on reset and wipe.
   std::vector<NodeId> scratch_neighbours_;
 };
 

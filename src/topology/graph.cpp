@@ -19,8 +19,10 @@ void Graph::add_edge(NodeId a, NodeId b, double latency) {
   FASTCONS_EXPECTS(a != b);
   FASTCONS_EXPECTS(latency >= 0.0);
   if (has_edge(a, b)) throw ConfigError("duplicate edge in topology");
-  adjacency_[a].push_back(Edge{b, latency});
-  adjacency_[b].push_back(Edge{a, latency});
+  const auto slot_in_a = static_cast<PeerSlot>(adjacency_[a].size());
+  const auto slot_in_b = static_cast<PeerSlot>(adjacency_[b].size());
+  adjacency_[a].push_back(Edge{b, latency, slot_in_b});
+  adjacency_[b].push_back(Edge{a, latency, slot_in_a});
   ++edge_count_;
 }
 

@@ -14,6 +14,11 @@ namespace fastcons {
 struct Edge {
   NodeId peer = kInvalidNode;
   double latency = 0.0;  // propagation delay, session-time units
+  /// Index of the reverse half-edge in `peer`'s adjacency, so
+  /// neighbours(peer)[peer_slot].peer is this edge's owner: a sender that
+  /// knows its own slot for the receiver learns the receiver's slot for it
+  /// without a search.
+  PeerSlot peer_slot = kNoSlot;
 };
 
 /// Adjacency-list graph. Nodes are dense 0..size()-1. Self-loops and
@@ -37,8 +42,8 @@ class Graph {
   bool has_edge(NodeId a, NodeId b) const;
 
   /// The {a, b} edge as seen from `a`, or nullptr when absent — one
-  /// adjacency scan where a has_edge + latency pair would take two (the
-  /// simulated dispatch path asks on every message).
+  /// adjacency scan where a has_edge + latency pair would take two.
+  /// Runtimes that address neighbours by slot index neighbours() instead.
   const Edge* find_edge(NodeId a, NodeId b) const;
 
   /// Latency of edge {a, b}; requires the edge to exist.
@@ -47,6 +52,8 @@ class Graph {
   /// Replaces the latency of the existing edge {a, b}.
   void set_latency(NodeId a, NodeId b, double latency);
 
+  /// n's half-edges in insertion order; an edge's index is n's slot for
+  /// its peer.
   const std::vector<Edge>& neighbours(NodeId n) const;
 
   std::size_t degree(NodeId n) const { return neighbours(n).size(); }

@@ -4,8 +4,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <deque>
 #include <map>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "net/wire.hpp"
 
 namespace fastcons {
 namespace {
@@ -568,6 +574,128 @@ TEST(EngineTest, SessionCarriesMultipleUpdatesBothWays) {
   a.handle(1, m4[0].msg, 0.1);
   EXPECT_EQ(a.summary(), b.summary());
   EXPECT_EQ(a.summary().total(), 10u);
+}
+
+/// One delivered message: (sender, receiver, sender's slot, wire bytes).
+using TraceEntry =
+    std::tuple<NodeId, NodeId, PeerSlot, std::vector<std::uint8_t>>;
+
+/// Runs a scripted exchange on a 3-node triangle whose neighbour lists are
+/// registered out of id order (so slots differ from id ranks): client
+/// writes with fast pushes, then anti-entropy sessions, everything routed
+/// FIFO until quiet. `by_slot` delivers through handle_slot instead of the
+/// NodeId handle().
+std::vector<TraceEntry> run_slot_script(bool by_slot,
+                                        std::vector<EngineStats>& stats,
+                                        std::vector<SummaryVector>& summaries) {
+  ProtocolConfig cfg = fast_config();
+  cfg.ack_mode = FastAckMode::subset;
+  std::vector<ReplicaEngine> engines;
+  engines.emplace_back(0, std::vector<NodeId>{2, 1}, cfg, 11);
+  engines.emplace_back(1, std::vector<NodeId>{0, 2}, cfg, 12);
+  engines.emplace_back(2, std::vector<NodeId>{1, 0}, cfg, 13);
+  const std::vector<double> demand{1.0, 5.0, 9.0};
+  for (ReplicaEngine& e : engines) {
+    e.set_own_demand(demand[e.self()]);
+    for (const DemandEntry& entry : e.demand_table().entries()) {
+      e.prime_neighbour_demand(entry.peer, demand[entry.peer], 0.0);
+    }
+  }
+  std::vector<TraceEntry> trace;
+  std::deque<std::pair<NodeId, Outbound>> queue;
+  const auto enqueue = [&](NodeId from, std::vector<Outbound>& outs) {
+    for (Outbound& out : outs) queue.emplace_back(from, std::move(out));
+    outs.clear();
+  };
+  const auto drain = [&](SimTime now) {
+    std::vector<Outbound> outs;
+    while (!queue.empty()) {
+      auto [from, out] = std::move(queue.front());
+      queue.pop_front();
+      trace.emplace_back(from, out.to, out.slot, encode_frame(from, out.msg));
+      ReplicaEngine& receiver = engines[out.to];
+      if (by_slot) {
+        // The sender's slot names the edge; the receiver's slot for the
+        // sender is that edge's other end.
+        EXPECT_EQ(engines[from].demand_table().entries()[out.slot].peer,
+                  out.to);
+        const PeerSlot back = receiver.demand_table().slot_of(from);
+        EXPECT_NE(back, kNoSlot);
+        receiver.handle_slot(back, std::move(out.msg), now, outs);
+      } else {
+        receiver.handle(from, std::move(out.msg), now, outs);
+      }
+      enqueue(out.to, outs);
+    }
+  };
+  std::vector<Outbound> outs;
+  engines[0].local_write("k0", "v0", 0.1, outs);
+  enqueue(0, outs);
+  drain(0.1);
+  engines[2].local_write("k2", "v2", 0.2, outs);
+  enqueue(2, outs);
+  drain(0.2);
+  for (int round = 0; round < 3; ++round) {
+    for (ReplicaEngine& e : engines) {
+      const SimTime now = 1.0 + round + 0.1 * e.self();
+      e.local_write("r" + std::to_string(round), "x", now, outs);
+      enqueue(e.self(), outs);
+      e.on_session_timer(now, outs);
+      enqueue(e.self(), outs);
+      drain(now);
+    }
+  }
+  for (const ReplicaEngine& e : engines) {
+    stats.push_back(e.stats());
+    summaries.push_back(e.summary());
+  }
+  return trace;
+}
+
+TEST(EngineSlotTest, NodeIdAndSlotPathsProduceIdenticalTraffic) {
+  std::vector<EngineStats> id_stats;
+  std::vector<EngineStats> slot_stats;
+  std::vector<SummaryVector> id_summaries;
+  std::vector<SummaryVector> slot_summaries;
+  const auto by_id = run_slot_script(false, id_stats, id_summaries);
+  const auto by_slot = run_slot_script(true, slot_stats, slot_summaries);
+  ASSERT_GT(by_id.size(), 20u);
+  EXPECT_EQ(by_id, by_slot);
+  EXPECT_EQ(id_summaries, slot_summaries);
+  for (std::size_t n = 0; n < id_stats.size(); ++n) {
+    const EngineStats& a = id_stats[n];
+    const EngineStats& b = slot_stats[n];
+    EXPECT_EQ(a.sessions_initiated, b.sessions_initiated) << n;
+    EXPECT_EQ(a.sessions_completed, b.sessions_completed) << n;
+    EXPECT_EQ(a.sessions_responded, b.sessions_responded) << n;
+    EXPECT_EQ(a.offers_sent, b.offers_sent) << n;
+    EXPECT_EQ(a.offers_accepted, b.offers_accepted) << n;
+    EXPECT_EQ(a.offers_declined, b.offers_declined) << n;
+    EXPECT_EQ(a.duplicate_updates, b.duplicate_updates) << n;
+    EXPECT_EQ(a.updates_applied, b.updates_applied) << n;
+  }
+  // The exchange did exercise both halves of the protocol.
+  EXPECT_GT(id_stats[0].sessions_completed + id_stats[1].sessions_completed +
+                id_stats[2].sessions_completed,
+            0u);
+  EXPECT_GT(id_stats[0].offers_sent + id_stats[1].offers_sent +
+                id_stats[2].offers_sent,
+            0u);
+}
+
+TEST(EngineSlotTest, OutboundCarriesTheSendersSlot) {
+  ReplicaEngine e(4, {9, 2, 7}, fast_config(), 1);
+  const auto adverts = e.on_advert_timer(0.0);
+  ASSERT_EQ(adverts.size(), 3u);
+  for (PeerSlot slot = 0; slot < adverts.size(); ++slot) {
+    EXPECT_EQ(adverts[slot].slot, slot);
+    EXPECT_EQ(adverts[slot].to, e.demand_table().entries()[slot].peer);
+  }
+  // A reply to a sender outside the neighbour set carries no slot.
+  const auto reply = e.handle(42, SessionRequest{7}, 0.0);
+  ASSERT_EQ(reply.size(), 1u);
+  EXPECT_EQ(reply[0].to, 42u);
+  EXPECT_EQ(reply[0].slot, kNoSlot);
 }
 
 TEST(EngineTest, MessageNamesAndClasses) {

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -278,6 +281,128 @@ TEST(SimulatorTest, MoveOnlyCaptureAndLargePayload) {
   sim.run();
   EXPECT_EQ(got, 42);
   EXPECT_EQ(sum, 0.0);
+}
+
+/// A capture that counts how often it is move-constructed.
+struct MoveCounter {
+  explicit MoveCounter(int* count) : moves(count) {}
+  MoveCounter(MoveCounter&& other) noexcept : moves(other.moves) { ++*moves; }
+  MoveCounter(const MoveCounter&) = delete;
+  MoveCounter& operator=(const MoveCounter&) = delete;
+  MoveCounter& operator=(MoveCounter&&) = delete;
+  ~MoveCounter() = default;
+  int* moves;
+};
+
+TEST(SimulatorTest, ScheduledClosureIsMovedAtMostOnce) {
+  // The closure is built straight into its slab slot and invoked there: the
+  // single move is the one from the caller's temporary into the slot.
+  Simulator sim;
+  int moves = 0;
+  int moves_at_invocation = -1;
+  sim.schedule_at(0.5, [&sim, &moves, &moves_at_invocation] {
+    sim.schedule_in(1.0, [c = MoveCounter(&moves), &moves_at_invocation] {
+      moves_at_invocation = *c.moves;
+    });
+    // Scheduling more work before the delivery fires grows the slab; the
+    // pending closure must not be relocated.
+    for (int i = 0; i < 300; ++i) sim.schedule_in(0.5, [] {});
+  });
+  sim.run();
+  EXPECT_LE(moves_at_invocation, 1);
+}
+
+TEST(SimulatorTest, OversizedClosureRunsThroughTheHeapPath) {
+  struct Big {
+    MoveCounter counter;
+    std::array<double, 32> data;
+    int* seen_moves;
+    double* sum;
+    void operator()() {
+      *seen_moves = *counter.moves;
+      *sum = data[0] + data[31];
+    }
+  };
+  static_assert(sizeof(Big) > EventFn::kInlineBytes);
+  static_assert(!EventFn::stores_inline<Big>);
+  Simulator sim;
+  int moves = 0;
+  int seen_moves = -1;
+  double sum = 0.0;
+  std::array<double, 32> data{};
+  data[0] = 1.5;
+  data[31] = 2.0;
+  sim.schedule_in(1.0, Big{MoveCounter(&moves), data, &seen_moves, &sum});
+  sim.run();
+  EXPECT_DOUBLE_EQ(sum, 3.5);
+  EXPECT_LE(seen_moves, 1);
+}
+
+TEST(SimulatorTest, ThrowingCaptureSchedulesNothingAndFreesItsSlot) {
+  // A capture whose move constructor throws (it falls to the heap path,
+  // whose construction happens inside schedule_at).
+  struct ThrowOnMove {
+    explicit ThrowOnMove(const bool* flag) : armed(flag) {}
+    ThrowOnMove(ThrowOnMove&& other) : armed(other.armed) {
+      if (*armed) throw std::runtime_error("move failed");
+    }
+    ThrowOnMove(const ThrowOnMove&) = delete;
+    ThrowOnMove& operator=(const ThrowOnMove&) = delete;
+    ThrowOnMove& operator=(ThrowOnMove&&) = delete;
+    ~ThrowOnMove() = default;
+    const bool* armed;
+  };
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1.0, [&order] { order.push_back(1); });
+  ASSERT_EQ(sim.pending_events(), 1u);
+  bool armed = true;
+  EXPECT_THROW(sim.schedule_at(2.0, [t = ThrowOnMove(&armed), &order] {
+                 order.push_back(-1);
+               }),
+               std::runtime_error);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  // The released slot is handed out again and behaves like any other.
+  armed = false;
+  const TimerHandle reused = sim.schedule_at(
+      2.0, [t = ThrowOnMove(&armed), &order] { order.push_back(2); });
+  sim.schedule_at(3.0, [&order] { order.push_back(3); });
+  EXPECT_EQ(sim.pending_events(), 3u);
+  EXPECT_TRUE(sim.cancel(reused));
+  sim.schedule_at(2.5, [&order] { order.push_back(25); });
+  EXPECT_EQ(sim.run(), 3u);
+  EXPECT_EQ(order, (std::vector<int>{1, 25, 3}));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, ThrowingEventStillFiresAndFreesItsSlot) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.schedule_at(1.0, [] { throw std::runtime_error("event failed"); });
+  sim.schedule_at(2.0, [&order] { order.push_back(2); });
+  EXPECT_THROW(sim.run(), std::runtime_error);
+  EXPECT_EQ(sim.events_executed(), 1u);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  sim.schedule_at(3.0, [&order] { order.push_back(3); });
+  EXPECT_EQ(sim.run(), 2u);
+  EXPECT_EQ(order, (std::vector<int>{2, 3}));
+  sim.reset();  // legal again once no event is running
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+TEST(SimulatorTest, EventCancellingItselfWhileRunningIsANoOp) {
+  Simulator sim;
+  TimerHandle self;
+  bool cancelled = true;
+  int fired = 0;
+  self = sim.schedule_at(1.0, [&] {
+    ++fired;
+    cancelled = sim.cancel(self);  // already fired: nothing to cancel
+    sim.schedule_in(1.0, [&fired] { ++fired; });
+  });
+  sim.run();
+  EXPECT_FALSE(cancelled);
+  EXPECT_EQ(fired, 2);
 }
 
 TEST(SimulatorTest, SelfReschedulingTimerPattern) {

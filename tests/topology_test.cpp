@@ -30,6 +30,42 @@ TEST(GraphTest, AddNodesAndEdges) {
   EXPECT_EQ(g.degree(1), 2u);
 }
 
+/// Every half-edge's peer_slot must index the reverse half-edge at the
+/// peer, with the same latency both ways.
+void expect_reverse_slots(const Graph& g) {
+  for (NodeId u = 0; u < g.size(); ++u) {
+    const std::vector<Edge>& adjacency = g.neighbours(u);
+    for (PeerSlot slot = 0; slot < adjacency.size(); ++slot) {
+      const Edge& e = adjacency[slot];
+      ASSERT_LT(e.peer_slot, g.degree(e.peer)) << u << "->" << e.peer;
+      const Edge& back = g.neighbours(e.peer)[e.peer_slot];
+      EXPECT_EQ(back.peer, u);
+      EXPECT_EQ(back.peer_slot, slot);
+      EXPECT_EQ(back.latency, e.latency);
+    }
+  }
+}
+
+TEST(GraphTest, PeerSlotIndexesTheReverseHalfEdge) {
+  Rng rng(31);
+  expect_reverse_slots(make_line(7, kLat, rng));
+  expect_reverse_slots(make_ring(9, kLat, rng));
+  expect_reverse_slots(make_grid(4, 5, kLat, rng));
+  expect_reverse_slots(make_binary_tree(15, kLat, rng));
+  expect_reverse_slots(make_barabasi_albert(200, 2, kLat, rng));
+}
+
+TEST(GraphTest, PeerSlotSurvivesSetLatency) {
+  Graph g(3);
+  g.add_edge(0, 1, 0.5);
+  g.add_edge(2, 1, 0.25);
+  g.add_edge(0, 2, 0.75);
+  g.set_latency(1, 2, 0.125);
+  expect_reverse_slots(g);
+  EXPECT_EQ(g.neighbours(1)[1].peer, 2u);  // slot = insertion order at 1
+  EXPECT_EQ(g.neighbours(1)[1].peer_slot, 0u);
+}
+
 TEST(GraphTest, AddNodeGrows) {
   Graph g;
   EXPECT_EQ(g.add_node(), 0u);
