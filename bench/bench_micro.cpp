@@ -367,8 +367,8 @@ BENCHMARK(BM_FastPushChain)->Arg(8)->Arg(64);
 
 void BM_SimNetworkEventsPerSec(benchmark::State& state) {
   // End-to-end simulated events/sec: a 100-node BA network running the fast
-  // protocol for 10 session periods after one write. items_per_second is
-  // the headline number docs/performance.md tracks.
+  // protocol for 10 session periods after one write; items_per_second is
+  // simulated events per second.
   std::uint64_t events = 0;
   for (auto _ : state) {
     state.PauseTiming();

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/assert.hpp"
-#include "common/construction_cost.hpp"
 #include "common/error.hpp"
 
 namespace fastcons {
@@ -59,24 +58,19 @@ const PropagationTrial& run_propagation_trial(
   trial.pushes_suppressed_unhealthy = 0;
 
   // Construction phase: topology + demand + (re)wiring the pooled network.
-  // Scoped so the harness can report the construction tax separately from
-  // event execution.
   SimNetwork* net_ptr = nullptr;
   std::shared_ptr<const DemandModel> demand;
-  {
-    ConstructionCost::Scope construction;
-    if (config.shared_topology != nullptr) {
-      demand = config.demand(*config.shared_topology, rng);
-      SimConfig sim_config = config.sim;
-      sim_config.seed = rng.next_u64();
-      net_ptr = &ctx.pool.acquire(config.shared_topology, demand, sim_config);
-    } else {
-      Graph graph = config.topology(rng);
-      demand = config.demand(graph, rng);
-      SimConfig sim_config = config.sim;
-      sim_config.seed = rng.next_u64();
-      net_ptr = &ctx.pool.acquire(std::move(graph), demand, sim_config);
-    }
+  if (config.shared_topology != nullptr) {
+    demand = config.demand(*config.shared_topology, rng);
+    SimConfig sim_config = config.sim;
+    sim_config.seed = rng.next_u64();
+    net_ptr = &ctx.pool.acquire(config.shared_topology, demand, sim_config);
+  } else {
+    Graph graph = config.topology(rng);
+    demand = config.demand(graph, rng);
+    SimConfig sim_config = config.sim;
+    sim_config.seed = rng.next_u64();
+    net_ptr = &ctx.pool.acquire(std::move(graph), demand, sim_config);
   }
   SimNetwork& net = *net_ptr;
 

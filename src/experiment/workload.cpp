@@ -1,12 +1,11 @@
 #include "experiment/workload.hpp"
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 
 #include "common/assert.hpp"
-#include "common/construction_cost.hpp"
 #include "common/error.hpp"
-#include "sim/timer_pool.hpp"
 
 namespace fastcons {
 
@@ -32,10 +31,7 @@ WorkloadResult run_workload(Graph topology,
     throw ConfigError("duration must exceed warmup");
   }
 
-  SimNetwork& net = [&]() -> SimNetwork& {
-    ConstructionCost::Scope construction;
-    return pool.acquire(std::move(topology), demand, sim_config);
-  }();
+  SimNetwork& net = pool.acquire(std::move(topology), demand, sim_config);
   Rng rng(workload.seed);
   WorkloadResult result;
 
@@ -75,11 +71,13 @@ WorkloadResult run_workload(Graph topology,
   read_rngs.reserve(net.size());
   for (NodeId n = 0; n < net.size(); ++n) read_rngs.push_back(rng.split());
 
-  // Owns the read-process closures for the whole run; see
-  // sim/timer_pool.hpp for the ownership rules.
-  TimerPool timers;
+  // Owns the read-process closures for the whole run. A tick that
+  // reschedules itself must not own itself (a shared_ptr self-capture is a
+  // cycle that never frees), so scheduled events capture plain pointers
+  // into this deque, whose growth never moves existing elements.
+  std::deque<std::function<void()>> ticks;
   for (NodeId n = 0; n < net.size(); ++n) {
-    std::function<void()>* tick_ptr = timers.add();
+    std::function<void()>* tick_ptr = &ticks.emplace_back();
     const auto reschedule = [&sim, tick_ptr, &read_rngs, &net, n,
                              &workload](SimTime now) {
       const double rate = net.demand_now()[n];

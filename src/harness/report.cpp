@@ -56,13 +56,7 @@ JsonValue cdf_to_json(const EmpiricalCdf& cdf) {
   return obj;
 }
 
-/// Events/sec from a point's timing sums; 0 when nothing was measured.
-double events_per_sec(const PointResult& point) {
-  if (point.wall_ms <= 0.0 || point.events_executed == 0) return 0.0;
-  return static_cast<double>(point.events_executed) / (point.wall_ms / 1000.0);
-}
-
-JsonValue point_to_json(const PointResult& point, bool include_timing) {
+JsonValue point_to_json(const PointResult& point) {
   JsonValue obj = JsonValue::object();
   obj.add("label", point.point.label);
   obj.add("index", static_cast<std::uint64_t>(point.index));
@@ -89,21 +83,12 @@ JsonValue point_to_json(const PointResult& point, bool include_timing) {
   JsonValue counters = JsonValue::object();
   for (const auto& [name, value] : point.counters) counters.add(name, value);
   obj.add("counters", std::move(counters));
-  if (include_timing) {
-    JsonValue timing = JsonValue::object();
-    timing.add("wall_ms", point.wall_ms);
-    timing.add("construction_ms", point.construction_ms);
-    timing.add("event_ms", point.event_ms());
-    timing.add("events_executed", point.events_executed);
-    timing.add("events_per_sec", events_per_sec(point));
-    obj.add("timing", std::move(timing));
-  }
   return obj;
 }
 
 }  // namespace
 
-JsonValue scenario_to_json(const ScenarioResult& result, bool include_timing) {
+JsonValue scenario_to_json(const ScenarioResult& result) {
   JsonValue obj = JsonValue::object();
   obj.add("schema_version", kResultsSchemaVersion);
   obj.add("scenario", result.name);
@@ -114,20 +99,19 @@ JsonValue scenario_to_json(const ScenarioResult& result, bool include_timing) {
   obj.add("base_seed", result.base_seed);
   JsonValue points = JsonValue::array();
   for (const PointResult& point : result.points) {
-    points.push_back(point_to_json(point, include_timing));
+    points.push_back(point_to_json(point));
   }
   obj.add("points", std::move(points));
   return obj;
 }
 
-JsonValue rollup_to_json(const std::vector<ScenarioResult>& results,
-                         bool include_timing) {
+JsonValue rollup_to_json(const std::vector<ScenarioResult>& results) {
   JsonValue obj = JsonValue::object();
   obj.add("schema_version", kResultsSchemaVersion);
   obj.add("mode", !results.empty() && results.front().smoke ? "smoke" : "full");
   JsonValue scenarios = JsonValue::array();
   for (const ScenarioResult& result : results) {
-    scenarios.push_back(scenario_to_json(result, include_timing));
+    scenarios.push_back(scenario_to_json(result));
   }
   obj.add("scenarios", std::move(scenarios));
   return obj;
@@ -155,9 +139,9 @@ void write_file(const std::string& path, const std::string& body) {
 std::string write_scenario_file(const ScenarioResult& result,
                                 const std::string& dir) {
   ensure_dir(dir);
-  write_file(dir + "/" + result.name + ".json",
-             scenario_to_json(result, /*include_timing=*/true).dump_pretty());
-  return digest_hex(scenario_to_json(result).dump());
+  const JsonValue doc = scenario_to_json(result);
+  write_file(dir + "/" + result.name + ".json", doc.dump_pretty());
+  return digest_hex(doc.dump());
 }
 
 std::string write_results(const std::vector<ScenarioResult>& results,
@@ -170,9 +154,9 @@ std::string write_results(const std::vector<ScenarioResult>& results,
     digests += write_scenario_file(result, dir);
     digests += '\n';
   }
-  write_file(dir + "/BENCH_RESULTS.json",
-             rollup_to_json(results, /*include_timing=*/true).dump_pretty());
-  const std::string rollup_digest = digest_hex(rollup_to_json(results).dump());
+  const JsonValue rollup = rollup_to_json(results);
+  write_file(dir + "/BENCH_RESULTS.json", rollup.dump_pretty());
+  const std::string rollup_digest = digest_hex(rollup.dump());
   digests += "rollup ";
   digests += rollup_digest;
   digests += '\n';
@@ -219,26 +203,6 @@ void print_scenario(const ScenarioResult& result, std::ostream& out) {
     }
   }
   if (printed_header) out << "\n";
-
-  double wall_ms = 0.0;
-  double construction_ms = 0.0;
-  std::uint64_t events = 0;
-  for (const PointResult& point : result.points) {
-    wall_ms += point.wall_ms;
-    construction_ms += point.construction_ms;
-    events += point.events_executed;
-  }
-  out << "timing: " << events << " events in " << Table::num(wall_ms)
-      << " ms";
-  if (wall_ms > 0.0 && events > 0) {
-    out << " (" << Table::num(static_cast<double>(events) / (wall_ms / 1000.0))
-        << " events/sec)";
-  }
-  if (wall_ms > 0.0) {
-    out << ", construction " << Table::num(construction_ms) << " ms ("
-        << Table::num(100.0 * construction_ms / wall_ms) << "% of wall)";
-  }
-  out << "\n";
 }
 
 }  // namespace fastcons::harness

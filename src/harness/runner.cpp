@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <thread>
 
-#include "common/construction_cost.hpp"
 #include "common/error.hpp"
-#include "sim/simulator.hpp"
 
 namespace fastcons::harness {
 namespace {
@@ -20,11 +17,9 @@ struct Task {
   std::size_t trial = 0;
 };
 
-/// Everything one task writes: the trial's result plus the measurements
-/// taken around it. One cache-line-aligned record per task, so concurrent
-/// workers finishing adjacent tasks never store into the same line — the
-/// previous four parallel arrays (results / errors / wall / events)
-/// interleaved adjacent 8-byte writes from different workers.
+/// Everything one task writes: the trial's result or its exception. One
+/// cache-line-aligned record per task, so concurrent workers finishing
+/// adjacent tasks never store into the same line.
 ///
 /// Ownership is lock-free by design, so there is deliberately no mutex
 /// (and no GUARDED_BY) here: exactly one worker claims task i via the
@@ -35,9 +30,6 @@ struct Task {
 struct alignas(64) TaskSlot {
   TrialResult result;
   std::exception_ptr error;
-  double wall_ms = 0.0;
-  double construction_ms = 0.0;
-  std::uint64_t events = 0;
 };
 
 std::size_t effective_jobs(std::size_t jobs) {
@@ -134,23 +126,12 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
       TaskSlot& slot = slots[i];
       const std::uint64_t seed = derive_trial_seed(
           options.base_seed, spec.name, task.seed_index, task.trial);
-      const std::uint64_t events_before = Simulator::thread_events_executed();
-      const std::uint64_t construction_before = ConstructionCost::thread_ns();
-      const auto started = std::chrono::steady_clock::now();
       try {
         slot.result =
             spec.run(result.points[task.point_index].point, seed, context);
       } catch (...) {
         slot.error = std::current_exception();
       }
-      const auto finished = std::chrono::steady_clock::now();
-      slot.wall_ms =
-          std::chrono::duration<double, std::milli>(finished - started).count();
-      slot.construction_ms =
-          static_cast<double>(ConstructionCost::thread_ns() -
-                              construction_before) /
-          1e6;
-      slot.events = Simulator::thread_events_executed() - events_before;
     }
   };
 
@@ -171,9 +152,6 @@ ScenarioResult run_scenario(const ScenarioSpec& spec,
   for (std::size_t i = 0; i < tasks.size(); ++i) {
     PointResult& into = result.points[tasks[i].point_index];
     const TrialResult& trial = slots[i].result;
-    into.wall_ms += slots[i].wall_ms;
-    into.construction_ms += slots[i].construction_ms;
-    into.events_executed += slots[i].events;
     for (const auto& [name, value] : trial.values) {
       fold_named(into.values, name, value,
                  [](OnlineStats& acc, double v) { acc.add(v); });

@@ -56,30 +56,6 @@ struct PointResult {
 
   /// Counters summed across trials.
   std::vector<std::pair<std::string, std::uint64_t>> counters;
-
-  // -- measurements, not results ---------------------------------------
-  // Wall-clock data the runner collects around the trial functions. They
-  // are serialised into the results files (a "timing" object per point)
-  // but excluded from the result digests: two runs with equal digests are
-  // equal experiments, however fast the hardware ran them.
-
-  /// Summed wall-clock time of this point's trials, in milliseconds.
-  double wall_ms = 0.0;
-
-  /// Portion of wall_ms spent constructing trial state (topology
-  /// generation, demand models, network wiring) as reported by
-  /// ConstructionCost scopes inside the trial functions. The construction
-  /// tax the pooled-context reset path exists to remove; 0 for trials that
-  /// mark no construction region.
-  double construction_ms = 0.0;
-
-  /// Simulator events executed by this point's trials (0 for trials that
-  /// drive engines directly without a Simulator).
-  std::uint64_t events_executed = 0;
-
-  /// wall_ms minus the construction share: time spent executing events and
-  /// collecting metrics.
-  double event_ms() const noexcept { return wall_ms - construction_ms; }
 };
 
 /// Aggregated results of one scenario run.

@@ -2,7 +2,6 @@
 #include <charconv>
 #include <cmath>
 
-#include "common/construction_cost.hpp"
 #include "common/error.hpp"
 #include "harness/scenarios.hpp"
 #include "stats/counters.hpp"
@@ -188,7 +187,6 @@ std::shared_ptr<const Graph> shared_topology_for(const SweepPoint& point,
   for (const auto& [existing, graph] : cache.by_key) {
     if (existing == key) return graph;
   }
-  ConstructionCost::Scope construction;
   Rng probe(kSharedTopologyProbeSeed);
   auto graph = std::make_shared<const Graph>(topology_from_point(point)(probe));
   cache.by_key.emplace_back(key, graph);

@@ -2,7 +2,6 @@
 // ablations, advert staleness, and client-observed freshness.
 #include <map>
 
-#include "common/construction_cost.hpp"
 #include "experiment/workload.hpp"
 #include "harness/scenarios.hpp"
 #include "islands/islands.hpp"
@@ -25,24 +24,19 @@ TrialResult islands_trial(const SweepPoint& point, std::uint64_t seed,
   const SimTime deadline = param_or(point.params, "deadline", 80.0);
 
   Rng rng(seed);
-  std::vector<double> demand;
-  SimNetwork* net_ptr;
-  {
-    ConstructionCost::Scope construction;
-    Graph g = topology_from_point(point)(rng);
-    // Demands: left island warm, right island hot, bridge cold.
-    demand.assign(g.size(), 1.0);
-    for (NodeId n = 0; n < clique; ++n) demand[n] = rng.uniform(30.0, 50.0);
-    for (NodeId n = clique; n < 2 * clique; ++n) {
-      demand[n] = rng.uniform(50.0, 80.0);
-    }
-    auto model = std::make_shared<StaticDemand>(demand);
-    SimConfig cfg;
-    cfg.protocol = algorithm_config(algo);
-    cfg.seed = rng.next_u64();
-    net_ptr = &ctx.state<SimNetworkPool>().acquire(std::move(g), model, cfg);
+  Graph g = topology_from_point(point)(rng);
+  // Demands: left island warm, right island hot, bridge cold.
+  std::vector<double> demand(g.size(), 1.0);
+  for (NodeId n = 0; n < clique; ++n) demand[n] = rng.uniform(30.0, 50.0);
+  for (NodeId n = clique; n < 2 * clique; ++n) {
+    demand[n] = rng.uniform(50.0, 80.0);
   }
-  SimNetwork& net = *net_ptr;
+  auto model = std::make_shared<StaticDemand>(demand);
+  SimConfig cfg;
+  cfg.protocol = algorithm_config(algo);
+  cfg.seed = rng.next_u64();
+  SimNetwork& net =
+      ctx.state<SimNetworkPool>().acquire(std::move(g), model, cfg);
 
   const auto islands = detect_islands(net.graph(), demand, 20.0);
   const auto leaders = elect_leaders(islands, demand);
@@ -139,16 +133,9 @@ TrialResult freshness_trial(const SweepPoint& point, std::uint64_t seed,
   const auto n = static_cast<std::size_t>(param_or(point.params, "n", 40));
 
   Rng rng(seed);
-  Graph g;
-  std::shared_ptr<StaticDemand> demand;
-  {
-    // Only the graph/demand build is construction; run_workload times its
-    // own network wiring.
-    ConstructionCost::Scope construction;
-    g = topology_from_point(point)(rng);
-    demand =
-        std::make_shared<StaticDemand>(make_zipf_demand(n, 1.0, 60.0, rng));
-  }
+  Graph g = topology_from_point(point)(rng);
+  auto demand =
+      std::make_shared<StaticDemand>(make_zipf_demand(n, 1.0, 60.0, rng));
   SimConfig sim;
   sim.protocol = algorithm_config(tag_or(point.tags, "algo", "fast"));
   sim.seed = rng.next_u64();

@@ -3,7 +3,6 @@
 #include <map>
 #include <optional>
 
-#include "common/construction_cost.hpp"
 #include "core/engine.hpp"
 #include "experiment/metrics.hpp"
 #include "harness/scenarios.hpp"
@@ -148,21 +147,16 @@ struct Fig3Context {
 TrialResult fig3_trial(const SweepPoint&, std::uint64_t seed,
                        TrialContext& ctx) {
   Fig3Context& fig3 = ctx.state<Fig3Context>();
-  SimNetwork* net_ptr;
-  {
-    ConstructionCost::Scope construction;
-    if (fig3.star == nullptr) {
-      fig3.star = std::make_shared<const Graph>(fig3_star());
-      fig3.demands = std::make_shared<StaticDemand>(fig3_demands());
-    }
-    SimConfig cfg;
-    cfg.protocol = ProtocolConfig::fast();
-    cfg.protocol.advert_period = 0.0;
-    cfg.timing = SimConfig::Timing::periodic;
-    cfg.seed = seed;
-    net_ptr = &fig3.pool.acquire(fig3.star, fig3.demands, cfg);
+  if (fig3.star == nullptr) {
+    fig3.star = std::make_shared<const Graph>(fig3_star());
+    fig3.demands = std::make_shared<StaticDemand>(fig3_demands());
   }
-  SimNetwork& net = *net_ptr;
+  SimConfig cfg;
+  cfg.protocol = ProtocolConfig::fast();
+  cfg.protocol.advert_period = 0.0;
+  cfg.timing = SimConfig::Timing::periodic;
+  cfg.seed = seed;
+  SimNetwork& net = fig3.pool.acquire(fig3.star, fig3.demands, cfg);
   const UpdateId id = net.schedule_write(1, "k", "v", 0.0);
   net.run_until_update_everywhere(id, 10.0);
   std::vector<std::optional<SimTime>> delivery(5);

@@ -1,6 +1,5 @@
 // Scaling and overhead scenarios: §5's uniform-topology and diameter claims,
 // §8's traffic accounting.
-#include "common/construction_cost.hpp"
 #include "common/error.hpp"
 #include "harness/scenarios.hpp"
 #include "sim_runtime/sim_network.hpp"
@@ -60,18 +59,14 @@ TrialResult overhead_trial(const SweepPoint& point, std::uint64_t seed,
   const SimTime horizon = param_or(point.params, "horizon", 10.0);
 
   Rng rng(seed);
-  SimNetwork* net_ptr;
-  {
-    ConstructionCost::Scope construction;
-    Graph g = topology_from_point(point)(rng);
-    auto demand = std::make_shared<StaticDemand>(
-        make_uniform_random_demand(n, 0.0, 100.0, rng));
-    SimConfig cfg;
-    cfg.protocol = algorithm_config(tag_or(point.tags, "algo", "fast"));
-    cfg.seed = rng.next_u64();
-    net_ptr = &ctx.state<SimNetworkPool>().acquire(std::move(g), demand, cfg);
-  }
-  SimNetwork& net = *net_ptr;
+  Graph g = topology_from_point(point)(rng);
+  auto demand = std::make_shared<StaticDemand>(
+      make_uniform_random_demand(n, 0.0, 100.0, rng));
+  SimConfig cfg;
+  cfg.protocol = algorithm_config(tag_or(point.tags, "algo", "fast"));
+  cfg.seed = rng.next_u64();
+  SimNetwork& net =
+      ctx.state<SimNetworkPool>().acquire(std::move(g), demand, cfg);
   net.schedule_write(static_cast<NodeId>(rng.index(n)), "k", "v", 0.5);
   net.run_until(horizon);
 

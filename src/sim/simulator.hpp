@@ -119,9 +119,9 @@ class Simulator {
   /// Events executed over this simulator's lifetime.
   std::uint64_t events_executed() const noexcept { return executed_; }
 
-  /// Events executed by every Simulator on the calling thread. The harness
-  /// samples this around each trial to report events/sec without threading
-  /// a counter through every trial function.
+  /// Events executed by every Simulator on the calling thread. perfbench
+  /// samples this around each trial to measure events per CPU-second
+  /// without threading a counter through every trial function.
   static std::uint64_t thread_events_executed() noexcept;
 
  private:

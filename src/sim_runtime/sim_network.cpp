@@ -84,8 +84,6 @@ void SimNetwork::wire(std::shared_ptr<const Graph> graph,
   first_seen_.resize(n);
   bridges_.resize(n);
   planned_writes_.assign(n, 0);
-  node_applied_.assign(n, 0);
-  node_digest_.assign(n, 0);
   for (NodeId node = 0; node < n; ++node) {
     // The engine copies the ids out of this scratch list, so one buffer
     // serves every node of every trial. Registration order is adjacency
@@ -124,11 +122,10 @@ void SimNetwork::install_delivery_hook(NodeId node) {
   EngineHooks hooks;
   hooks.on_delivery = [this, node](const Update& u, DeliveryPath path,
                                    SimTime now) {
-    // Any application may change this node's summary — including one the
-    // tracker already counted before a crash wiped the node. The revision
-    // only keys the all_consistent() cache, so bumping it unconditionally
-    // is digest-neutral; skipping it would leave a stale "inconsistent"
-    // verdict cached while a wiped node re-applies old updates.
+    // Any application changes this node's summary, including a wiped
+    // node re-applying an update first_seen_ already recorded. The
+    // revision only keys the all_consistent() cache, so bumping it
+    // unconditionally is digest-neutral.
     ++summary_revision_;
     auto& seen = first_seen_[node];
     const auto it = std::lower_bound(
@@ -144,8 +141,6 @@ void SimNetwork::install_delivery_hook(NodeId node) {
       } else {
         holding_count_.emplace(hold, u.id, 1);
       }
-      ++node_applied_[node];
-      node_digest_[node] ^= UpdateIdHash{}(u.id);
       if (on_delivery) on_delivery(node, u, path, now);
     }
   };
@@ -458,28 +453,12 @@ bool SimNetwork::run_until_consistent(SimTime deadline, SimTime check_every) {
 bool SimNetwork::all_consistent() const {
   if (engines_.size() <= 1) return true;
   if (consistent_revision_ == summary_revision_) return consistent_cache_;
-  // Cheap screen: equal applied counts and equal id digests. Different
-  // counts or digests prove different summaries; a match is only probable,
-  // so it is confirmed by the full comparison below.
-  bool result = true;
-  for (std::size_t n = 1; n < engines_.size(); ++n) {
-    if (node_applied_[n] != node_applied_[0] ||
-        node_digest_[n] != node_digest_[0]) {
-      result = false;
-      break;
-    }
-  }
-  if (result) {
-    for (std::size_t n = 1; n < engines_.size(); ++n) {
-      if (!(engines_[n].summary() == engines_[0].summary())) {
-        result = false;
-        break;
-      }
-    }
-  }
+  const SummaryVector& first = engines_[0].summary();
+  consistent_cache_ =
+      std::all_of(engines_.begin() + 1, engines_.end(),
+                  [&](const ReplicaEngine& e) { return e.summary() == first; });
   consistent_revision_ = summary_revision_;
-  consistent_cache_ = result;
-  return result;
+  return consistent_cache_;
 }
 
 std::size_t SimNetwork::nodes_holding(UpdateId id) const {

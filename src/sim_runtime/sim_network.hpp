@@ -121,11 +121,10 @@ class SimNetwork {
   /// deadline. Returns whether convergence was reached.
   bool run_until_consistent(SimTime deadline, SimTime check_every = 0.5);
 
-  /// True when every engine's summary equals every other's. Incremental:
-  /// every delivery bumps a revision counter and folds the update id into a
-  /// per-node digest, so the common cases — nothing changed since the last
-  /// check, or counts/digests disagree — cost O(1)/O(n); the full summary
-  /// comparison only runs when every digest matches.
+  /// True when every engine's summary equals every other's. Every delivery
+  /// and every wipe bumps a revision counter, so a check with nothing
+  /// changed since the last one is O(1); otherwise the summaries are
+  /// compared.
   bool all_consistent() const;
 
   /// Events executed by the underlying simulator so far.
@@ -174,8 +173,7 @@ class SimNetwork {
   void start_timers();
   /// Self-rescheduling timer bodies. Scheduled events capture just
   /// [this, node], which fits EventFn's inline buffer — no allocation and
-  /// no closure-ownership gymnastics (see sim/timer_pool.hpp for the
-  /// pattern external workloads still use).
+  /// no closure-ownership gymnastics.
   void session_tick(NodeId node);
   void advert_tick(NodeId node);
   /// Fault churn: crash `node` now (possibly wiping its engine) and
@@ -250,12 +248,8 @@ class SimNetwork {
   std::vector<SeqNo> planned_writes_;
   std::uint64_t dropped_ = 0;
 
-  // Incremental convergence tracker: per-node count and order-independent
-  // digest of applied update ids (a node's summary is exactly the set of
-  // updates its delivery hook has seen), plus a global revision so repeated
+  // Bumped whenever any summary may have changed, so repeated
   // all_consistent() polls between deliveries are free.
-  std::vector<std::uint64_t> node_applied_;
-  std::vector<std::uint64_t> node_digest_;
   std::uint64_t summary_revision_ = 0;
   mutable std::uint64_t consistent_revision_ = ~std::uint64_t{0};
   mutable bool consistent_cache_ = false;

@@ -2,7 +2,9 @@
 // guarantee that results are bit-identical regardless of thread count.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <set>
+#include <sstream>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -173,35 +175,35 @@ TEST(TrialRunner, ResultsAreBitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(TrialRunner, TimingIsMeasuredButStaysOutsideTheDigest) {
-  // wall_ms/events_executed are measurements of a particular run: they go
-  // into the results files (under "timing") but never into the digestable
-  // serialisation, so perf changes can't masquerade as result changes.
+std::string read_text(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  std::ostringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+TEST(Report, FilesOnDiskHoldExactlyTheDigestedForm) {
+  // One serialisation: each results file is the pretty form of the very
+  // document DIGESTS.txt digests, with no run-specific measurements in it.
   const ScenarioRegistry registry = builtin_registry();
-  ScenarioResult result = run_scenario(registry.get("fig5"), smoke_options(1));
-  std::uint64_t events = 0;
-  for (const PointResult& point : result.points) {
-    events += point.events_executed;
-    EXPECT_GE(point.wall_ms, 0.0);
-  }
-  EXPECT_GT(events, 0u);  // fig5 trials run on the simulator
+  const ScenarioResult result =
+      run_scenario(registry.get("fig5"), smoke_options(1));
+  const std::string dir = testing::TempDir() + "fastcons_report_test";
+  const std::string rollup_digest = write_results({result}, dir);
 
-  const std::string pure = scenario_to_json(result).dump();
-  EXPECT_EQ(pure.find("timing"), std::string::npos);
-  EXPECT_EQ(pure.find("wall_ms"), std::string::npos);
-  const std::string timed =
-      scenario_to_json(result, /*include_timing=*/true).dump();
-  EXPECT_NE(timed.find("\"timing\""), std::string::npos);
-  EXPECT_NE(timed.find("\"events_per_sec\""), std::string::npos);
+  const JsonValue doc = scenario_to_json(result);
+  const std::string file = read_text(dir + "/fig5.json");
+  EXPECT_EQ(file, doc.dump_pretty());
+  EXPECT_EQ(file.find("timing"), std::string::npos);
+  EXPECT_EQ(file.find("wall_ms"), std::string::npos);
+  EXPECT_EQ(file.find("events_per_sec"), std::string::npos);
 
-  // Different measurements, same digest.
-  ScenarioResult other = result;
-  for (PointResult& point : other.points) {
-    point.wall_ms += 1234.5;
-    point.events_executed += 99;
-  }
-  EXPECT_EQ(scenario_to_json(other).dump(), pure);
-  EXPECT_NE(scenario_to_json(other, true).dump(), timed);
+  const JsonValue rollup = rollup_to_json({result});
+  EXPECT_EQ(read_text(dir + "/BENCH_RESULTS.json"), rollup.dump_pretty());
+  EXPECT_EQ(rollup_digest, digest_hex(rollup.dump()));
+  EXPECT_EQ(read_text(dir + "/DIGESTS.txt"),
+            "fig5 " + digest_hex(doc.dump()) + "\nrollup " + rollup_digest +
+                "\n");
 }
 
 TEST(TrialRunner, RollupDigestIsStableAcrossThreadCounts) {

@@ -1,9 +1,10 @@
 #include "sim/simulator.hpp"
-#include "sim/timer_pool.hpp"
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <deque>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -406,13 +407,13 @@ TEST(SimulatorTest, EventCancellingItselfWhileRunningIsANoOp) {
 }
 
 TEST(SimulatorTest, SelfReschedulingTimerPattern) {
-  // The pattern SimNetwork uses for session timers: a TimerPool owns the
-  // closure, scheduled events hold non-owning pointers (a shared_ptr
+  // The pattern run_workload uses for its read processes: a deque owns
+  // the closure, scheduled events hold non-owning pointers (a shared_ptr
   // self-capture would be a leaky reference cycle).
   Simulator sim;
-  TimerPool timers;
+  std::deque<std::function<void()>> ticks;
   int fires = 0;
-  std::function<void()>* tick = timers.add();
+  std::function<void()>* tick = &ticks.emplace_back();
   *tick = [&sim, &fires, tick] {
     ++fires;
     if (fires < 5) sim.schedule_in(1.0, [tick] { (*tick)(); });
